@@ -21,7 +21,11 @@ type system cannot express:
                 src/ must be a string literal listed in the catalog header
                 src/obs/names.h (which ci/check_trace.py also reads), and
                 every catalog entry must have at least one call site — the
-                catalog is single-source-of-truth, not a museum.
+                catalog is single-source-of-truth, not a museum. A
+                CG_METRIC_* first argument must be exactly one literal: the
+                macro caches the metric the site first resolves, so a name
+                picked at run time (`c ? "a" : "b"`) counts everything under
+                whichever name came first.
 
 Diagnostics are one line each:
   cg-lint FAIL: <path>:<line>: <rule>: <message>
@@ -210,8 +214,8 @@ def check_pin_guard(rel, stripped, failures):
 
 
 def macro_call_sites(stripped, macros):
-    """Yield (macro, pos, literals_in_first_arg) for every call site,
-    skipping #define lines (the macro definitions themselves)."""
+    """Yield (macro, pos, first_arg, literals_in_first_arg) for every call
+    site, skipping #define lines (the macro definitions themselves)."""
     for macro in macros:
         for m in re.finditer(rf"\b{macro}\s*\(", stripped):
             line_start = stripped.rfind("\n", 0, m.start()) + 1
@@ -220,7 +224,7 @@ def macro_call_sites(stripped, macros):
                 continue
             arg, _end = first_macro_arg(stripped, m.end() - 1)
             literals = [lm.group(1) for lm in STRING_LITERAL.finditer(arg)]
-            yield macro, m.start(), literals
+            yield macro, m.start(), arg, literals
 
 
 def check_names(root, files, failures):
@@ -238,20 +242,27 @@ def check_names(root, files, failures):
     for rel, stripped in files:
         if rel == NAMES_HEADER:
             continue
-        for macro, pos, literals in macro_call_sites(stripped, METRIC_MACROS):
+        for macro, pos, arg, literals in macro_call_sites(stripped,
+                                                          METRIC_MACROS):
             line = line_of(stripped, pos)
             if not literals:
                 failures.append((rel, line, "names",
                                  f"{macro} name is not a string literal "
                                  f"(must come from {NAMES_HEADER})"))
                 continue
+            if not STRING_LITERAL.fullmatch(arg.strip()):
+                failures.append((rel, line, "names",
+                                 f"{macro} name is not exactly one string "
+                                 "literal (the site caches the first name it "
+                                 "sees; use one call site per name)"))
             for lit in literals:
                 used_metrics.add(lit)
                 if lit not in metric_catalog:
                     failures.append((rel, line, "names",
                                      f'metric "{lit}" not in {NAMES_HEADER} '
                                      "metric catalog"))
-        for macro, pos, literals in macro_call_sites(stripped, TRACE_MACROS):
+        for macro, pos, _arg, literals in macro_call_sites(stripped,
+                                                           TRACE_MACROS):
             line = line_of(stripped, pos)
             if not literals:
                 failures.append((rel, line, "names",

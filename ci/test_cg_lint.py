@@ -5,9 +5,9 @@ Builds throwaway mini-repos under a tempdir and checks, for each rule, one
 fixture that must trigger it and one that must pass: determinism (clocks /
 entropy, with the trace.cpp allowlist and comment immunity), no-sleep,
 pin-guard (raw Pin/Unpin outside the allowlist), and the names catalog
-(unknown metric, unknown trace category, non-literal name, conditional
-multi-literal first args, multi-line call sites, stale catalog entries,
-missing markers). Diagnostics must be one line per violation, never a
+(unknown metric, unknown trace category, non-literal name, metric first
+args holding more than one literal, multi-line call sites, stale catalog
+entries, missing markers). Diagnostics must be one line per violation, never a
 traceback. Runs with nothing but the standard library:
 `python3 ci/test_cg_lint.py`.
 """
@@ -37,11 +37,11 @@ inline constexpr const char* kTraceCategories[] = {
 """
 
 # A file exercising every catalog name so the stale-entry check stays green,
-# with a conditional (two-literal) first arg and a multi-line call site.
+# with a multi-line call site.
 CLEAN_CPP = """\
 #include "obs/names.h"
-void f(bool alt, int n) {
-  CG_METRIC_COUNT(alt ? "demo.count" : "demo.hist", 1);
+void f(int n) {
+  CG_METRIC_COUNT("demo.count", n);
   CG_METRIC_HIST(
       "demo.hist",
       n);
@@ -155,13 +155,22 @@ def main():
             "names", '"rogue"')
         checks += 1
 
-        # 7. names: a conditional arg with ONE unlisted branch fails (all
-        #    literals in the first arg are checked, not just the first).
+        # 7. names: a metric name picked at run time fails even when both
+        #    branches are in the catalog (the site would count both under
+        #    the first name it saw); with an unlisted branch, that literal
+        #    is named too.
         expect_fail(write_repo(
+            tmp, "listedbranch",
+            {"src/c.cpp":
+             'CG_METRIC_COUNT(alt ? "demo.count" : "demo.hist", 1);\n'}),
+            "names", "not exactly one string literal")
+        lines = expect_fail(write_repo(
             tmp, "badbranch",
             {"src/c.cpp":
              'CG_METRIC_COUNT(alt ? "demo.count" : "demo.rogue", 1);\n'}),
             "names", "demo.rogue")
+        assert any("not exactly one string literal" in ln for ln in lines), \
+            lines
         checks += 1
 
         # 8. names: a non-literal (computed) metric name fails.

@@ -53,7 +53,8 @@ int main() {
   // Progressive delivery (§9): the same dip trace, but every KV chunk ships
   // as a layered base; after the base pass makes the context usable, the
   // recovered link upgrades chunks until the SLO budget runs out. The
-  // StoreKV plan already prices the per-chunk enhancement layers.
+  // StoreKV plan already prices each chunk's enhancement layer from the
+  // engine's layered calibration.
   std::printf("\n-- progressive (two-pass layered) delivery --\n");
   const auto dip_trace =
       BandwidthTrace::FromSegments({{0.0, 3.0}, {0.25, 0.06}, {1.2, 1.0}});

@@ -756,8 +756,10 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
 
 void ClusterServer::RecordOutcomeMetrics(const RequestOutcome& out) {
   CG_METRIC_COUNT("cluster.requests", 1);
-  if (out.cache_hit) {
-    CG_METRIC_COUNT(out.cold_hit ? "cluster.hits.cold" : "cluster.hits.hot", 1);
+  if (out.cache_hit && out.cold_hit) {
+    CG_METRIC_COUNT("cluster.hits.cold", 1);
+  } else if (out.cache_hit) {
+    CG_METRIC_COUNT("cluster.hits.hot", 1);
   } else if (out.prefix_hit) {
     CG_METRIC_COUNT("cluster.hits.prefix", 1);
   } else {

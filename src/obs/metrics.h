@@ -178,7 +178,9 @@ class MetricsRegistry {
 // --- instrumentation macros --------------------------------------------------
 // Each site resolves its metric once (thread-safe function-local static) and
 // then records lock-free. `name` must be a string literal (or otherwise have
-// static storage duration).
+// static storage duration), one per call site: a name picked at run time
+// would count every call under the first name the site saw (cg_lint's names
+// rule rejects it).
 #ifndef CACHEGEN_OBS_DISABLED
 
 #define CG_METRIC_COUNT(name, n)                                       \

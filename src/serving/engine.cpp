@@ -74,8 +74,13 @@ const LayeredEncoder& Engine::LayeredFor(int level) const {
 }
 
 ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ctx) {
-  const auto ranges = SplitIntoChunks(ctx.num_tokens, opts_.chunk_tokens);
   const auto& levels = DefaultEncodingLevels();
+
+  // The plan starts priced from calibration: enhancement layers for every
+  // chunk (when the engine carries a layered calibration, so the plan can
+  // drive kProgressive directly) and base sizes for chunks skipped below.
+  // Encoded chunks then carry their real wire sizes.
+  ContextPlan plan = PlanFromCalibration(ctx.num_tokens);
 
   // Dedup-aware encode skip: ask the store which chunks' bitstreams already
   // exist under content addressing (prefix-aware stores only; plain stores
@@ -86,19 +91,9 @@ ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ct
   level_ids.reserve(levels.size());
   for (const auto& lv : levels) level_ids.push_back(lv.id);
   const std::vector<bool> covered =
-      store_->PreStoreCoverage(context_id, ranges.size(), level_ids);
+      store_->PreStoreCoverage(context_id, plan.chunks.size(), level_ids);
   const size_t covered_count = static_cast<size_t>(
       std::count(covered.begin(), covered.end(), true));
-
-  ContextPlan plan;
-  plan.total_tokens = ctx.num_tokens;
-  plan.quality_per_level = calibration().quality_per_level;
-  plan.quality_enhanced_per_level = calibration().quality_enhanced_per_level;
-  // When the engine carries a layered calibration, the returned plan prices
-  // per-chunk enhancement layers too (entropy estimate over the residual the
-  // just-encoded base leaves behind), so it can drive kProgressive directly.
-  const bool layered = !plan.quality_enhanced_per_level.empty();
-  plan.chunks.reserve(ranges.size());
 
   // Encode everything first, persist in one PutBatch at the end: the store
   // makes the whole context visible atomically, so a concurrent lookup (or a
@@ -114,48 +109,29 @@ ContextPlan Engine::StoreKV(const std::string& context_id, const ContextSpec& ct
   std::optional<KVCache> cache;
   if (covered_count == 0) cache = CalculateKV(ctx);
 
-  const CodecCalibration& calib = calibration();
   uint64_t skipped_bytes = 0;
   std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> encoded;
-  encoded.reserve((ranges.size() - covered_count) * levels.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    ChunkPlan cp;
-    cp.range = ranges[i];
-    cp.bytes_per_level.resize(levels.size());
-    if (layered) cp.enh_bytes_per_level.resize(levels.size());
+  encoded.reserve((plan.chunks.size() - covered_count) * levels.size());
+  for (size_t i = 0; i < plan.chunks.size(); ++i) {
+    ChunkPlan& cp = plan.chunks[i];
     if (covered[i]) {
-      // Skipped encode: the plan prices this chunk from calibration (the
-      // stored bytes exist but were never rematerialized here).
-      const double tokens = static_cast<double>(ranges[i].size());
-      for (size_t lv = 0; lv < levels.size(); ++lv) {
-        cp.bytes_per_level[lv] = calib.bytes_per_token_per_level[lv] * tokens;
-        if (layered) {
-          cp.enh_bytes_per_level[lv] =
-              calib.enh_bytes_per_token_per_level[lv] * tokens;
-        }
-        skipped_bytes += static_cast<uint64_t>(cp.bytes_per_level[lv]);
+      for (double bytes : cp.bytes_per_level) {
+        skipped_bytes += static_cast<uint64_t>(bytes);
       }
-      plan.chunks.push_back(std::move(cp));
       continue;
     }
     const KVCache chunk_kv =
-        cache ? cache->SliceTokens(ranges[i].begin, ranges[i].end)
-              : llm_->PrefillRange(ctx, ranges[i].begin, ranges[i].end);
+        cache ? cache->SliceTokens(cp.range.begin, cp.range.end)
+              : llm_->PrefillRange(ctx, cp.range.begin, cp.range.end);
     for (size_t lv = 0; lv < levels.size(); ++lv) {
       const EncodedChunk enc = encoders_[lv]->EncodeChunk(
-          chunk_kv, static_cast<uint32_t>(i), ranges[i].begin);
+          chunk_kv, static_cast<uint32_t>(i), cp.range.begin);
       encoded.emplace_back(
           ChunkKey{context_id, static_cast<uint32_t>(i), levels[lv].id},
           SerializeChunk(enc));
       cp.bytes_per_level[lv] =
           static_cast<double>(enc.WireBytes()) * model_.size_scale();
-      if (layered) {
-        cp.enh_bytes_per_level[lv] =
-            layered_[lv]->EstimateEnhancementBytes(chunk_kv, enc) *
-            model_.size_scale();
-      }
     }
-    plan.chunks.push_back(std::move(cp));
   }
   if (covered_count > 0) {
     CG_METRIC_COUNT("engine.encode.skipped_chunks", covered_count);

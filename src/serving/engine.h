@@ -64,10 +64,13 @@ class Engine {
   KVCache CalculateKV(const ContextSpec& ctx) const;
 
   // store_kv (§6): prefill, chunk, encode at every level, persist to the
-  // store under `context_id`. Returns the streaming plan (per-chunk sizes at
-  // every level, per-level quality factors; with a layered calibration the
-  // plan also carries estimated per-chunk enhancement sizes, so it can drive
-  // StreamMode::kProgressive directly).
+  // store under `context_id`. Returns the streaming plan: PlanFromCalibration
+  // with each encoded chunk's base sizes replaced by its real wire sizes
+  // (dedup-covered chunks, which are not re-encoded, keep the calibrated
+  // ones). With a layered calibration the plan also carries enhancement
+  // sizes priced from calibration, so it can drive StreamMode::kProgressive
+  // directly. The write path does one prefill and one encode per (chunk,
+  // level) and never decodes.
   ContextPlan StoreKV(const std::string& context_id, const ContextSpec& ctx);
 
   // get_kv (§6): fetch one chunk's bitstream at one level.

@@ -129,9 +129,11 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     // decode for KV chunks) that may lag it while the GPU drains peers.
     CG_TRACE_VSPAN("streamer", config.text ? "chunk_tx_text" : "chunk_tx",
                    track, rec.start_s, rec.end_s, "bytes", tx_bytes);
-    CG_METRIC_COUNT(config.text ? "streamer.chunks_text"
-                                : "streamer.chunks_kv",
-                    1);
+    if (config.text) {
+      CG_METRIC_COUNT("streamer.chunks_text", 1);
+    } else {
+      CG_METRIC_COUNT("streamer.chunks_kv", 1);
+    }
     CG_METRIC_HIST("streamer.chunk_bytes", static_cast<uint64_t>(tx_bytes));
 
     measured_bytes_per_s = rec.Seconds() > 0.0 ? tx_bytes / rec.Seconds()

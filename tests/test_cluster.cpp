@@ -2,22 +2,33 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cluster/cluster_metrics.h"
 #include "cluster/cluster_server.h"
 #include "cluster/request_queue.h"
 #include "cluster/scheduler.h"
 #include "cluster/shared_link.h"
+#include "codec/encoding_level.h"
 #include "net/bandwidth_trace.h"
+#include "net/link.h"
+#include "obs/metrics.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
+#include "storage/tiered_kv_store.h"
+#include "streamer/streamer.h"
 
 namespace cachegen {
 namespace {
+
+namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // SharedLink: the fluid fair-share arbiter in isolation.
@@ -457,6 +468,86 @@ TEST(ClusterServer, AssembleKvDecodesRealBitstreams) {
     EXPECT_TRUE(o.cache_hit);
     EXPECT_GT(o.quality, 0.5);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Outcome counters: each scenario counts under its own metric name, however
+// the scenarios interleave within one run.
+// ---------------------------------------------------------------------------
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name).Value();
+}
+
+TEST(ClusterServer, HotAndColdHitCountersMatchOutcomes) {
+  const fs::path root = fs::temp_directory_path() /
+                        ("cachegen_cluster_hits_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  RequestTraceOptions topts;
+  topts.num_requests = 12;
+  topts.num_contexts = 3;
+  topts.zipf_exponent = 0.0;  // uniform: all three contexts get traffic
+  topts.min_tokens = 900;
+  topts.max_tokens = 1200;
+  topts.arrival_rate_hz = 1.0;
+  topts.seed = 0xC01Du;
+
+  // A hot tier smaller than any context, primed with marker chunks (the
+  // timeline never reads chunk bytes with assemble_kv off): only the most
+  // recently touched context stays hot, so requests alternate between hot
+  // hits and cold promotions.
+  TieredKVStore::Options sopts;
+  sopts.hot = {.num_shards = 1, .capacity_bytes = 1};
+  sopts.cold_root = root;
+  auto store = std::make_shared<TieredKVStore>(sopts);
+  Engine::Options eopts;
+  eopts.model_name = "mistral-7b";
+  eopts.calib_context_tokens = 600;
+  eopts.calib_num_contexts = 4;
+  Engine engine(eopts, store);
+  for (size_t i = 0; i < topts.num_contexts; ++i) {
+    const uint8_t marker[] = {1, 2, 3};
+    store->Put({PoolContextId(i), 0, 0}, marker);
+  }
+
+  ClusterServer::Options copts;
+  copts.num_workers = 2;
+  copts.write_back_on_miss = false;
+  copts.assemble_kv = false;
+  ClusterServer server(engine, store, BandwidthTrace::Constant(2.0), copts);
+  const uint64_t hot_before = CounterValue("cluster.hits.hot");
+  const uint64_t cold_before = CounterValue("cluster.hits.cold");
+  const auto outcomes = server.Serve(PoissonTrace(topts));
+  ASSERT_EQ(outcomes.size(), topts.num_requests);
+  uint64_t hot = 0, cold = 0;
+  for (const auto& o : outcomes) {
+    ASSERT_TRUE(o.cache_hit);  // nothing was erased, so nothing can miss
+    ++(o.cold_hit ? cold : hot);
+  }
+  ASSERT_GT(hot, 0u);
+  ASSERT_GT(cold, 0u);
+  EXPECT_EQ(CounterValue("cluster.hits.hot") - hot_before, hot);
+  EXPECT_EQ(CounterValue("cluster.hits.cold") - cold_before, cold);
+  fs::remove_all(root);
+}
+
+TEST(KVStreamer, KvAndTextChunkCountersMatchSteps) {
+  ClusterFixture& fx = WarmFixture();
+  const ContextPlan plan = fx.engine->PlanFromCalibration(9000);
+  // A fast start streams KV; the collapse to 50 Mbps makes text (a few KB
+  // plus recompute) the only option that keeps up.
+  Link link(BandwidthTrace::FromSegments({{0.0, 10.0}, {0.3, 0.05}}));
+  const KVStreamer streamer(fx.engine->cost(), fx.engine->model(),
+                            /*slo_s=*/3.0, DefaultEncodingLevels().size());
+  const uint64_t kv_before = CounterValue("streamer.chunks_kv");
+  const uint64_t text_before = CounterValue("streamer.chunks_text");
+  const StreamResult r = streamer.Stream(plan, link);
+  uint64_t kv = 0, text = 0;
+  for (const auto& step : r.steps) ++(step.config.text ? text : kv);
+  ASSERT_GT(kv, 0u);
+  ASSERT_GT(text, 0u);
+  EXPECT_EQ(CounterValue("streamer.chunks_kv") - kv_before, kv);
+  EXPECT_EQ(CounterValue("streamer.chunks_text") - text_before, text);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "codec/encoding_level.h"
 #include "codec/layered_encoder.h"
@@ -12,6 +14,8 @@
 #include "llm/quality_model.h"
 #include "llm/synthetic_model.h"
 #include "net/link.h"
+#include "obs/metrics.h"
+#include "prefix/prefix_cache.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
 #include "streamer/streamer.h"
@@ -339,15 +343,70 @@ TEST(LayeredStorePath, PlanFromCalibrationCarriesLayeredData) {
   // the ladder.
   EXPECT_GT(plan.EnhancementBytes(0, 3), plan.EnhancementBytes(0, 0));
 
-  // StoreKV prices per-chunk enhancement layers too (entropy estimate over
-  // the residual of the just-encoded base), within the same ballpark as the
-  // calibration-derived figure.
-  const ContextPlan stored = engine.StoreKV("prog-ctx", {12, 1500});
-  ASSERT_TRUE(stored.HasLayered());
-  for (int lv = 0; lv < 4; ++lv) {
-    EXPECT_GT(stored.EnhancementBytes(0, lv), 0.0);
-    EXPECT_LT(stored.EnhancementBytes(0, lv), 4.0 * plan.EnhancementBytes(0, lv));
+}
+
+// StoreKV's plan is PlanFromCalibration with the real wire sizes of the
+// chunks it encoded: enhancement layers are priced from calibration for
+// every chunk (fresh or dedup-covered), covered chunks keep calibrated base
+// sizes, and the write path never decodes.
+TEST(LayeredStorePath, StoreKVPricesEnhancementFromCalibration) {
+  Engine::Options eopts;
+  eopts.calib_context_tokens = 400;
+  eopts.calib_num_contexts = 4;
+  eopts.layered_calib_tokens = 256;
+  eopts.chunk_tokens = 200;
+  PrefixCache::Options popts;
+  popts.chunk_tokens = eopts.chunk_tokens;
+  auto pc = std::make_shared<PrefixCache>(
+      std::make_shared<ShardedKVStore>(
+          ShardedKVStore::Options{.num_shards = 2, .capacity_bytes = 0}),
+      popts);
+  Engine engine(eopts, pc);
+  engine.calibration();  // calibration decodes; keep it out of the deltas
+  const obs::Counter& decoded =
+      obs::MetricsRegistry::Instance().GetCounter("codec.chunks_decoded");
+
+  std::vector<int32_t> level_ids;
+  for (const auto& lv : DefaultEncodingLevels()) level_ids.push_back(lv.id);
+  // Two members of one family: 500 tokens over a 400-token shared prefix,
+  // so the second finds its two pure-prefix chunks already stored.
+  const ContextSpec first{.seed = 41, .num_tokens = 500,
+                          .prefix_seed = 0xFA11ULL, .prefix_tokens = 400};
+  ContextSpec second = first;
+  second.seed = 42;
+  size_t covered_chunks = 0;
+  for (const auto& [id, spec] : {std::pair{"fam-first", first},
+                                 std::pair{"fam-second", second}}) {
+    SCOPED_TRACE(id);
+    pc->BeginStore(id, spec);
+    const ContextPlan calib = engine.PlanFromCalibration(spec.num_tokens);
+    const std::vector<bool> covered =
+        pc->PreStoreCoverage(id, calib.chunks.size(), level_ids);
+    const uint64_t decoded_before = decoded.Value();
+    const ContextPlan stored = engine.StoreKV(id, spec);
+    EXPECT_EQ(decoded.Value(), decoded_before);
+
+    ASSERT_TRUE(stored.HasLayered());
+    ASSERT_EQ(stored.chunks.size(), calib.chunks.size());
+    for (size_t i = 0; i < stored.chunks.size(); ++i) {
+      const ChunkPlan& cp = stored.chunks[i];
+      EXPECT_EQ(cp.enh_bytes_per_level, calib.chunks[i].enh_bytes_per_level);
+      if (covered[i]) {
+        ++covered_chunks;
+        EXPECT_EQ(cp.bytes_per_level, calib.chunks[i].bytes_per_level);
+        continue;
+      }
+      for (size_t lv = 0; lv < level_ids.size(); ++lv) {
+        const auto enc =
+            engine.GetKV(id, static_cast<uint32_t>(i), level_ids[lv]);
+        ASSERT_TRUE(enc.has_value());
+        EXPECT_EQ(cp.bytes_per_level[lv],
+                  static_cast<double>(enc->WireBytes()) *
+                      engine.model().size_scale());
+      }
+    }
   }
+  EXPECT_EQ(covered_chunks, 2u);  // the second member's prefix chunks
 }
 
 }  // namespace
