@@ -81,7 +81,7 @@ int main() {
     Link link(trace);
     const KVStreamer streamer(engine.cost(), engine.model(), 3.0,
                               DefaultEncodingLevels().size());
-    const StreamResult r = streamer.Stream(plan, link, /*gpu_share=*/0.5);
+    const StreamResult r = streamer.Stream(plan, link, /*gpu_share=*/0.5).Get();
     t3.AddRow({std::to_string(chunk_tokens), TablePrinter::Fmt(r.load_finish_s, 2),
                TablePrinter::Fmt(r.quality, 3), r.slo_violated ? "VIOLATED" : "met"});
   }

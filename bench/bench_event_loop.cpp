@@ -1,16 +1,15 @@
-// Event-driven serving core gate (the perf claim behind the fixed worker
-// pool + completion-queue engine):
+// Event-driven serving core gate (the single-threaded coordinator that
+// drives every request as a coroutine over the SharedLink):
 //
-//   1. Scale proof: a >=100k-request trace runs to completion on a FIXED
-//      number of OS threads (num_workers + the codec pool), where the legacy
-//      thread-per-request mode would have spawned one std::thread per
-//      admission. A sampler thread watches /proc/self/status Threads and
-//      records the peak.
-//   2. Latency parity: on an identical moderate load, the event loop's p95
-//      TTFT must be no worse than the thread-per-request baseline within a
-//      1.05x tolerance (virtual-time outcomes are expected to be close to
-//      identical; the tolerance absorbs admission-order edge cases).
-//   3. Determinism: two identical event-loop runs are bit-equal.
+//   1. Scale proof: a 100k-request trace runs to completion without the
+//      process gaining a thread — Serve() runs on the calling thread, and
+//      the codec pool already exists. A sampler thread watches
+//      /proc/self/status Threads and records the peak.
+//   2. Golden outcomes: the digest of the scale run's outcomes (the fields
+//      cachegen-bench hashes) equals kGoldenScaleDigest, recorded from the
+//      multi-threaded serving core this one replaced. Any change to a
+//      modelled timeline, admission or hit decision breaks it.
+//   3. Determinism: two identical runs are bit-equal.
 //
 // --quick runs the three gates and exits non-zero on failure (wired into
 // Release CI); the full run adds a worker-count sweep table. Either mode
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "cluster/cluster_metrics.h"
 #include "cluster/cluster_server.h"
 #include "obs/json_writer.h"
 
@@ -85,20 +85,21 @@ RequestTraceOptions TraceOpts(size_t num_requests, double rate_hz) {
   return topts;
 }
 
+// OutcomeDigest of the 100k-request scale run (TraceOpts(100000, 16.0),
+// 4 workers), recorded from the multi-threaded serving core.
+constexpr uint64_t kGoldenScaleDigest = 0xb71c0ef46ff11e2bULL;
+
 struct RunStats {
-  double sum_ttft_s = 0.0;
-  double sum_finish_s = 0.0;
+  uint64_t digest = 0;  // OutcomeDigest: bit-exact TTFT, finish, quality, ...
   double p95_ttft_s = 0.0;
   double wall_s = 0.0;
   size_t count = 0;
 };
 
 RunStats RunLoad(Engine& engine, std::shared_ptr<ShardedKVStore> store,
-                 ClusterServer::ServeMode mode, size_t workers,
-                 const RequestTraceOptions& topts) {
+                 size_t workers, const RequestTraceOptions& topts) {
   ClusterServer::Options copts;
   copts.num_workers = workers;
-  copts.serve_mode = mode;
   copts.write_back_on_miss = false;  // warm-hit load: stays hit-only
   ClusterServer server(engine, store, BandwidthTrace::Constant(3.0), copts);
   const auto t0 = std::chrono::steady_clock::now();
@@ -109,10 +110,7 @@ RunStats RunLoad(Engine& engine, std::shared_ptr<ShardedKVStore> store,
   s.count = outcomes.size();
   const ClusterSummary sum = Summarize(outcomes);
   s.p95_ttft_s = sum.p95_ttft_s;
-  for (const auto& o : outcomes) {
-    s.sum_ttft_s += o.ttft_s;
-    s.sum_finish_s += o.finish_s;
-  }
+  s.digest = OutcomeDigest(outcomes);
   return s;
 }
 
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "Event-driven serving core: fixed pool vs thread-per-request",
+      "Event-driven serving core: single-threaded coordinator, coroutine requests",
       "Mistral-7B calibration, 3 Gbps shared path, warm cache, FIFO");
 
   auto store = std::make_shared<ShardedKVStore>(ShardedKVStore::Options{8, 0});
@@ -147,16 +145,15 @@ int main(int argc, char** argv) {
 
   bool failed = false;
 
-  // --- 1. scale proof: >=100k requests on a fixed thread count -------------
+  // --- 1. scale proof: >=100k requests, no thread added -------------------
   const size_t kScaleRequests = 100000;
   const int baseline_threads = CurrentThreadCount();
   ThreadPeakSampler sampler;
   const RunStats scale =
-      RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, kWorkers,
-              TraceOpts(kScaleRequests, 16.0));
+      RunLoad(engine, store, kWorkers, TraceOpts(kScaleRequests, 16.0));
   const int peak_threads = sampler.Stop();
-  // During the serve: baseline + num_workers pool threads + the sampler.
-  const int allowed_threads = baseline_threads + static_cast<int>(kWorkers) + 1;
+  // During the serve: baseline + the sampler. Serve() itself adds nothing.
+  const int allowed_threads = baseline_threads + 1;
   std::printf(
       "\n-- scale: %zu requests, %zu workers --\n"
       "wall %.2f s (%.0f req/s)  p95 TTFT %.3f s\n"
@@ -170,47 +167,39 @@ int main(int argc, char** argv) {
   }
   if (peak_threads > allowed_threads) {
     std::fprintf(stderr,
-                 "FAIL: thread count grew with the trace (peak %d > allowed "
-                 "%d); the event loop must not spawn per-request threads\n",
+                 "FAIL: the process gained threads while serving (peak %d > "
+                 "allowed %d); Serve() must run on the calling thread\n",
                  peak_threads, allowed_threads);
     failed = true;
   }
 
-  // --- 2. latency parity vs the thread-per-request baseline ----------------
-  const size_t kCompareRequests = quick ? 800 : 2000;
-  const RequestTraceOptions cmp = TraceOpts(kCompareRequests, 16.0);
-  const RunStats ev =
-      RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, kWorkers, cmp);
-  const RunStats th = RunLoad(
-      engine, store, ClusterServer::ServeMode::kThreadPerRequest, kWorkers, cmp);
-  const double ratio = th.p95_ttft_s > 0.0 ? ev.p95_ttft_s / th.p95_ttft_s : 1.0;
-  std::printf(
-      "\n-- parity: %zu requests at equal load --\n"
-      "p95 TTFT: event loop %.4f s, thread-per-request %.4f s (ratio %.3f)\n"
-      "wall: event loop %.2f s, thread-per-request %.2f s\n",
-      kCompareRequests, ev.p95_ttft_s, th.p95_ttft_s, ratio, ev.wall_s,
-      th.wall_s);
-  if (ratio > 1.05) {
+  // --- 2. golden outcomes of the scale run ----------------------------------
+  const bool golden = scale.digest == kGoldenScaleDigest;
+  std::printf("\n-- golden: outcome digest %016llx, expected %016llx: %s --\n",
+              static_cast<unsigned long long>(scale.digest),
+              static_cast<unsigned long long>(kGoldenScaleDigest),
+              golden ? "match" : "MISMATCH");
+  if (!golden) {
     std::fprintf(stderr,
-                 "FAIL: event-loop p95 TTFT %.4f s is more than 1.05x the "
-                 "thread-per-request baseline %.4f s\n",
-                 ev.p95_ttft_s, th.p95_ttft_s);
+                 "FAIL: the scale run's outcomes differ from the recorded "
+                 "golden digest\n");
     failed = true;
   }
 
   // --- 3. determinism: identical runs are bit-equal ------------------------
-  const RunStats rerun =
-      RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, kWorkers, cmp);
-  const bool deterministic = rerun.sum_ttft_s == ev.sum_ttft_s &&
-                             rerun.sum_finish_s == ev.sum_finish_s &&
-                             rerun.p95_ttft_s == ev.p95_ttft_s;
-  std::printf("\n-- determinism: rerun %s --\n",
+  const size_t kCompareRequests = quick ? 800 : 2000;
+  const RequestTraceOptions cmp = TraceOpts(kCompareRequests, 16.0);
+  const RunStats ev = RunLoad(engine, store, kWorkers, cmp);
+  const RunStats rerun = RunLoad(engine, store, kWorkers, cmp);
+  const bool deterministic = rerun.digest == ev.digest;
+  std::printf("\n-- determinism: %zu requests, rerun %s --\n", kCompareRequests,
               deterministic ? "bit-equal" : "DIVERGED");
   if (!deterministic) {
     std::fprintf(stderr,
-                 "FAIL: two identical event-loop runs diverged "
-                 "(sum ttft %.17g vs %.17g)\n",
-                 ev.sum_ttft_s, rerun.sum_ttft_s);
+                 "FAIL: two identical runs diverged (outcome digest %016llx vs "
+                 "%016llx)\n",
+                 static_cast<unsigned long long>(ev.digest),
+                 static_cast<unsigned long long>(rerun.digest));
     failed = true;
   }
 
@@ -220,8 +209,7 @@ int main(int argc, char** argv) {
                 kCompareRequests);
     TablePrinter t({"workers", "p95 TTFT (s)", "wall (s)", "req/s"});
     for (const size_t w : {2u, 4u, 8u}) {
-      const RunStats r =
-          RunLoad(engine, store, ClusterServer::ServeMode::kEventLoop, w, cmp);
+      const RunStats r = RunLoad(engine, store, w, cmp);
       t.AddRow({std::to_string(w), TablePrinter::Fmt(r.p95_ttft_s, 4),
                 TablePrinter::Fmt(r.wall_s, 2),
                 TablePrinter::Fmt(r.count / r.wall_s, 0)});
@@ -244,15 +232,14 @@ int main(int argc, char** argv) {
     w.Field("p95_ttft_s", scale.p95_ttft_s);
     w.Field("peak_threads", static_cast<uint64_t>(peak_threads));
     w.Field("baseline_threads", static_cast<uint64_t>(baseline_threads));
+    w.Field("golden", golden ? 1.0 : 0.0);
     w.EndObject();
     w.BeginObject();
-    w.Field("level", "parity");
+    w.Field("level", "rerun");
     w.Field("tokens", static_cast<uint64_t>(kCompareRequests));
     w.Field("threads", static_cast<uint64_t>(kWorkers));
     w.Field("req_per_s", ev.count / ev.wall_s);
-    w.Field("p95_event_s", ev.p95_ttft_s);
-    w.Field("p95_thread_s", th.p95_ttft_s);
-    w.Field("p95_ratio", ratio);
+    w.Field("p95_ttft_s", ev.p95_ttft_s);
     w.Field("deterministic", deterministic ? 1.0 : 0.0);
     w.EndObject();
     w.EndArray();

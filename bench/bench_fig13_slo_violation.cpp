@@ -41,7 +41,7 @@ int main() {
         // CacheGen with adaptation.
         Link link(trace);
         const KVStreamer streamer(engine.cost(), engine.model(), slo, kLevels);
-        const StreamResult r = streamer.Stream(plan, link);
+        const StreamResult r = streamer.Stream(plan, link).Get();
         adapt_viol += r.slo_violated ? 1 : 0;
         adapt_quality += r.quality;
         ++runs;

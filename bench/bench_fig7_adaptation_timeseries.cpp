@@ -65,7 +65,7 @@ int main() {
   Link link(trace);
   const KVStreamer streamer(engine.cost(), engine.model(), /*slo_s=*/4.0,
                             DefaultEncodingLevels().size());
-  const StreamResult adapted = streamer.Stream(plan, link, kGpuShare);
+  const StreamResult adapted = streamer.Stream(plan, link, kGpuShare).Get();
 
   TablePrinter table({"Scheme", "Finish (s)", "SLO 4s", "Quality"});
   table.AddRow({"Baseline KV quant (8-bit)", TablePrinter::Fmt(quant_finish, 2),

@@ -99,10 +99,10 @@ int main(int argc, char** argv) {
     const KVStreamer s(engine.cost(), engine.model(), sc.slo_s,
                        DefaultEncodingLevels().size());
     Link la(sc.trace);
-    const StreamResult adaptive = s.Stream(plan, la, gpu_share);
+    const StreamResult adaptive = s.Stream(plan, la, gpu_share).Get();
     Link lp(sc.trace);
     const StreamResult progressive =
-        s.Stream(plan, lp, gpu_share, std::nullopt, StreamMode::kProgressive);
+        s.Stream(plan, lp, gpu_share, std::nullopt, StreamMode::kProgressive).Get();
 
     Row r;
     r.name = sc.name;

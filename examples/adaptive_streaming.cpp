@@ -21,7 +21,7 @@ void RunScenario(Engine& engine, const char* name, const BandwidthTrace& trace,
   Link link(trace);
   const KVStreamer streamer(engine.cost(), engine.model(), slo_s,
                             DefaultEncodingLevels().size());
-  const StreamResult r = streamer.Stream(plan, link, /*gpu_share=*/0.5);
+  const StreamResult r = streamer.Stream(plan, link, /*gpu_share=*/0.5).Get();
   std::printf("%-24s finish %5.2f s (SLO %.1f s: %s)  quality %.3f  decisions: ",
               name, r.load_finish_s, slo_s, r.slo_violated ? "VIOLATED" : "met",
               r.quality);
@@ -62,7 +62,7 @@ int main() {
   const KVStreamer pstreamer(engine.cost(), engine.model(), 2.5,
                              DefaultEncodingLevels().size());
   const StreamResult pr = pstreamer.Stream(plan, plink, /*gpu_share=*/0.5,
-                                           std::nullopt, StreamMode::kProgressive);
+                                           std::nullopt, StreamMode::kProgressive).Get();
   std::printf(
       "base quality %.3f -> final %.3f (%.0f%% of tokens upgraded, %zu "
       "enhancements, %zu aborted, SLO %s)\n",

@@ -38,7 +38,7 @@ int main() {
 
     // Online: user sends the next message; history KV streams back.
     Link link(BandwidthTrace::Constant(3.0));
-    const StreamResult r = streamer.Stream(plan, link);
+    const StreamResult r = streamer.Stream(plan, link).Get();
     const double text_s = ttft.Text(history_tokens, 3.0).Total();
     reload_total += r.ttft_s;
     reprefill_total += text_s;

@@ -34,7 +34,7 @@ int main() {
   Link link(BandwidthTrace::Constant(3.0));
   KVStreamer streamer(engine.cost(), engine.model(), /*slo_s=*/1.0,
                       DefaultEncodingLevels().size());
-  const StreamResult result = streamer.Stream(plan, link);
+  const StreamResult result = streamer.Stream(plan, link).Get();
   std::printf("CacheGen: TTFT = %.2f s, quality factor = %.3f, SLO %s\n",
               result.ttft_s, result.quality,
               result.slo_violated ? "VIOLATED" : "met");

@@ -71,7 +71,7 @@ int main() {
     }
 
     Link link(BandwidthTrace::Constant(3.0));
-    const StreamResult r = streamer.Stream(plan, link);
+    const StreamResult r = streamer.Stream(plan, link).Get();
     const double text_s = ttft.Text(ctx.num_tokens, 3.0).Total();
     total_cachegen_s += r.ttft_s;
     total_text_s += text_s;

@@ -170,4 +170,25 @@ void SummaryToJson(const ClusterSummary& s, obs::JsonWriter& w) {
   w.EndObject();
 }
 
+uint64_t OutcomeDigest(std::span<const RequestOutcome> outcomes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const RequestOutcome& o : outcomes) {
+    mix(&o.request.id, sizeof(o.request.id));
+    for (double v : {o.ttft_s, o.finish_s, o.quality, o.bytes_sent}) mix(&v, sizeof(v));
+    const unsigned char flags[] = {o.cache_hit,       o.cold_hit,    o.remote_hit,
+                                   o.prefix_hit,      o.forced_text, o.slo_violated,
+                                   o.write_back_done, o.write_back_failed};
+    mix(flags, sizeof(flags));
+    mix(&o.covered_tokens, sizeof(o.covered_tokens));
+  }
+  return h;
+}
+
 }  // namespace cachegen

@@ -121,4 +121,10 @@ std::string FormatSummary(const ClusterSummary& s);
 // the machine-readable sibling of FormatSummary (examples' --metrics-json).
 void SummaryToJson(const ClusterSummary& s, obs::JsonWriter& w);
 
+// FNV-1a over every request's modelled outcome, bit-exact on doubles: id,
+// ttft, finish, quality, bytes sent, the eight scenario/SLO/write-back flags
+// and the covered token count — the fields and order cachegen-bench hashes
+// for its digest line, so the two can be compared directly.
+uint64_t OutcomeDigest(std::span<const RequestOutcome> outcomes);
+
 }  // namespace cachegen

@@ -1,13 +1,10 @@
 #include "cluster/cluster_server.h"
 
 #include <algorithm>
-#include <deque>
-#include <functional>
+#include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "cluster/request_fsm.h"
-#include "common/thread_annotations.h"
 #include "codec/encoding_level.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,10 +15,6 @@
 namespace cachegen {
 
 namespace {
-
-uint64_t PackPayload(size_t worker, size_t slot) {
-  return (static_cast<uint64_t>(worker) << 32) | static_cast<uint64_t>(slot);
-}
 
 // Request ids are dense from 0, but the tracer reserves 0 for "no request";
 // trace tracks are therefore id + 1 ("request 1" is trace id 0).
@@ -100,7 +93,7 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   std::vector<RequestOutcome> outcomes(n);
   if (n == 0) return outcomes;
 
-  // Build the calibration once, before worker threads need it.
+  // Build the calibration once, before any request plans from it.
   engine_.calibration();
 
   // Resolve the SLO default up front so scheduler policies (EDF sorts by
@@ -115,11 +108,7 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   RequestQueue queue(std::move(trace));
 
   StartTelemetry();
-  if (opts_.serve_mode == ServeMode::kThreadPerRequest) {
-    ServeThreadPerRequest(queue, n, &outcomes);
-  } else {
-    ServeEventLoop(queue, n, &outcomes);
-  }
+  RunCoordinator(queue, &outcomes);
   FinishTelemetry(last_completion_s_);
 
   // Drain background tier work (the cold tier's demotion writer holds
@@ -133,454 +122,128 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   return outcomes;
 }
 
-// One worker's claim from the coordinator: a request, its slot, and the
-// admission hold that caps virtual time until the worker's flow registers.
-struct ClusterServer::WorkChannel {
+void ClusterServer::RunCoordinator(RequestQueue& queue,
+                                   std::vector<RequestOutcome>* outcomes) {
+  const size_t workers = opts_.num_workers;
+  const auto policy = MakeSchedulerPolicy(opts_.policy);
+  std::vector<double> free_at(workers, 0.0);
+  std::vector<bool> busy(workers, false);
+  // The request coroutine occupying each busy worker.
+  std::vector<Task<>> running(workers);
+  std::vector<Completion> completions;  // finished, slot not yet handed back
+  size_t in_flight = 0;
+  size_t admitted = 0;
+
   struct Admission {
     ClusterRequest rq;
     size_t worker = 0;
-    size_t slot = 0;
+    size_t outcome = 0;
     double admit_s = 0.0;
-    SharedLink::HoldId hold = 0;
-    double gpu_share = 1.0;  // adapter/hint prior, frozen at admission
   };
-
-  Mutex mu;
-  CondVar cv;
-  std::deque<Admission> admissions CG_GUARDED_BY(mu);
-  // Post-completion codec tails (assemble/generate/pin-release): real CPU
-  // work with no virtual-time cost, drained by whichever worker goes idle
-  // first instead of by a thread outliving its slot.
-  std::deque<std::function<void()>> continuations CG_GUARDED_BY(mu);
-  bool closed CG_GUARDED_BY(mu) = false;
-
-  void PushAdmission(Admission a) {
-    {
-      MutexLock lk(mu);
-      admissions.push_back(std::move(a));
-      CG_METRIC_GAUGE_SET("cluster.queue.admission_depth", admissions.size());
-    }
-    cv.NotifyOne();
-  }
-
-  void PushContinuation(std::function<void()> fn) {
-    {
-      MutexLock lk(mu);
-      continuations.push_back(std::move(fn));
-      CG_METRIC_GAUGE_SET("cluster.queue.continuation_depth",
-                          continuations.size());
-    }
-    cv.NotifyOne();
-  }
-
-  void Close() {
-    {
-      MutexLock lk(mu);
-      closed = true;
-    }
-    cv.NotifyAll();
-  }
-};
-
-void ClusterServer::ServeEventLoop(RequestQueue& queue, size_t n,
-                                   std::vector<RequestOutcome>* outcomes) {
-  const auto policy = MakeSchedulerPolicy(opts_.policy);
-  std::vector<double> free_at(opts_.num_workers, 0.0);
-  std::vector<bool> busy(opts_.num_workers, false);
-  size_t in_flight = 0;
-  size_t admitted = 0;
-  WorkChannel channel;
-
-  // The fixed pool: admissions first (they gate virtual time), then
-  // continuations; exit only once the channel is closed and drained. Every
-  // tail is enqueued by a worker before that worker's next channel wait, so
-  // by the time the pool unwinds no continuation can be stranded.
-  const size_t pool_size = std::min(opts_.num_workers, n);
-  std::vector<std::thread> pool;
-  pool.reserve(pool_size);
-  for (size_t i = 0; i < pool_size; ++i) {
-    pool.emplace_back([&] {
-      for (;;) {
-        WorkChannel::Admission adm;
-        std::function<void()> tail;
-        bool have_adm = false;
-        {
-          MutexLock lk(channel.mu);
-          while (!channel.closed && channel.admissions.empty() &&
-                 channel.continuations.empty()) {
-            channel.cv.Wait(channel.mu);
-          }
-          if (!channel.admissions.empty()) {
-            adm = std::move(channel.admissions.front());
-            channel.admissions.pop_front();
-            have_adm = true;
-            CG_METRIC_GAUGE_SET("cluster.queue.admission_depth",
-                                channel.admissions.size());
-          } else if (!channel.continuations.empty()) {
-            tail = std::move(channel.continuations.front());
-            channel.continuations.pop_front();
-            CG_METRIC_GAUGE_SET("cluster.queue.continuation_depth",
-                                channel.continuations.size());
-          } else {
-            return;  // closed and fully drained
-          }
-        }
-        if (have_adm) {
-          ServeOneEvent(std::move(adm.rq), adm.worker, adm.slot, adm.admit_s,
-                        adm.hold, adm.gpu_share, outcomes, channel);
-        } else {
-          tail();
-        }
-      }
-    });
-  }
-
+  std::vector<Admission> batch;
   // Admit onto every idle worker while requests remain. After this, either
-  // the queue is drained or every worker is busy. Queueing is deferred to
-  // the end of the batch so that simultaneously admitted requests all see
-  // the same post-batch contention prior (the actual GPU pricing is
+  // the queue is drained or every worker is busy. The requests start only
+  // once the whole batch is admitted, so simultaneously admitted requests
+  // all see the same post-batch contention prior (the actual GPU pricing is
   // per-event in the arbiter's lanes, so the prior only seeds the adapter).
   const auto admit_all = [&] {
-    std::vector<WorkChannel::Admission> batch;
+    batch.clear();
     while (!queue.Empty()) {
-      size_t w = opts_.num_workers;
-      for (size_t i = 0; i < opts_.num_workers; ++i) {
-        if (!busy[i] && (w == opts_.num_workers || free_at[i] < free_at[w])) {
+      size_t w = workers;
+      for (size_t i = 0; i < workers; ++i) {
+        if (!busy[i] && (w == workers || free_at[i] < free_at[w])) {
           w = i;
         }
       }
-      if (w == opts_.num_workers) break;  // all busy
+      if (w == workers) break;  // all busy
       const double admit_s = std::max(free_at[w], queue.NextArrival());
       ClusterRequest rq = queue.PopReady(*policy, admit_s);
-      // Cap virtual time at the admission instant until the worker's flow
-      // registers, so no in-flight stream races past it unshared — and
-      // record the GPU ledger +1 under the same hold, so every lane segment
-      // from admit_s on is priced with this request contending.
-      const SharedLink::HoldId hold = link_->HoldAdmission(admit_s);
+      // Every lane segment from admit_s on is priced with this request
+      // contending for the GPU.
+      link_->AddGpuSharer(admit_s);
       busy[w] = true;
       ++in_flight;
       CG_TRACE_VINSTANT("cluster", "admit", TraceTrack(rq), admit_s, "worker",
                         static_cast<double>(w));
-      WorkChannel::Admission a;
-      a.rq = std::move(rq);
-      a.worker = w;
-      a.slot = admitted++;
-      a.admit_s = admit_s;
-      a.hold = hold;
-      batch.push_back(std::move(a));
+      batch.push_back({std::move(rq), w, admitted++, admit_s});
     }
     if (!batch.empty()) CG_METRIC_COUNT("cluster.admission_batches", 1);
     CG_METRIC_GAUGE_SET("cluster.in_flight", in_flight);
     const double gpu_share =
-        1.0 / static_cast<double>(std::min(opts_.num_workers,
-                                           std::max<size_t>(1, in_flight)));
-    for (WorkChannel::Admission& a : batch) {
-      a.gpu_share = gpu_share;
-      channel.PushAdmission(std::move(a));
-    }
-  };
-
-  admit_all();
-  while (in_flight > 0) {
-    const SharedLink::Completion c = link_->PopCompletion(in_flight);
-    const size_t w = static_cast<size_t>(c.payload >> 32);
-    const size_t slot = static_cast<size_t>(c.payload & 0xffffffffu);
-    busy[w] = false;
-    free_at[w] = c.free_s;
-    --in_flight;
-    // Completion-ordered metric recording: the worker filled the outcome
-    // before CompleteFlow (visible here through the link's mutex), so the
-    // coordinator can record the per-request metrics in deterministic
-    // virtual-time order — the property the time-series sampler needs.
-    // AdvanceTo first: this completion's records belong to the window
-    // containing c.free_s.
-    if (series_) series_->AdvanceTo(c.free_s);
-    RecordOutcomeMetrics((*outcomes)[slot]);
-    OnCompletionTelemetry((*outcomes)[slot]);
-    admit_all();  // admit before releasing the hold at c.free_s
-    link_->ReleaseHold(c.hold);
-  }
-
-  channel.Close();
-  for (std::thread& t : pool) t.join();
-  // Belt and braces: nothing should remain (each worker drains before
-  // exiting), but a continuation enqueued between another worker's final
-  // check and its exit is still run here. Pop under the lock, run outside
-  // it: a tail may itself push a continuation.
-  for (;;) {
-    std::function<void()> fn;
-    {
-      MutexLock lk(channel.mu);
-      if (channel.continuations.empty()) break;
-      fn = std::move(channel.continuations.front());
-      channel.continuations.pop_front();
-    }
-    fn();
-  }
-}
-
-void ClusterServer::ServeThreadPerRequest(RequestQueue& queue, size_t n,
-                                          std::vector<RequestOutcome>* outcomes) {
-  const auto policy = MakeSchedulerPolicy(opts_.policy);
-  std::vector<double> free_at(opts_.num_workers, 0.0);
-  std::vector<bool> busy(opts_.num_workers, false);
-  size_t in_flight = 0;
-  size_t admitted = 0;
-  // One thread per request, joined at the end: a "freed" worker slot's
-  // thread may still be running its post-completion codec tail
-  // (assemble/generate), so threads outlive slots by design. Fine at bench
-  // scale (tens of requests); this path exists only as the bench_event_loop
-  // baseline for the fixed-pool event loop above.
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-
-  struct Admission {
-    ClusterRequest rq;
-    size_t worker = 0;
-    size_t slot = 0;
-    double admit_s = 0.0;
-    SharedLink::HoldId hold = 0;
-  };
-  const auto admit_all = [&] {
-    std::vector<Admission> batch;
-    while (!queue.Empty()) {
-      size_t w = opts_.num_workers;
-      for (size_t i = 0; i < opts_.num_workers; ++i) {
-        if (!busy[i] && (w == opts_.num_workers || free_at[i] < free_at[w])) {
-          w = i;
-        }
-      }
-      if (w == opts_.num_workers) break;  // all busy
-      const double admit_s = std::max(free_at[w], queue.NextArrival());
-      ClusterRequest rq = queue.PopReady(*policy, admit_s);
-      const SharedLink::HoldId hold = link_->HoldAdmission(admit_s);
-      busy[w] = true;
-      ++in_flight;
-      CG_TRACE_VINSTANT("cluster", "admit", TraceTrack(rq), admit_s, "worker",
-                        static_cast<double>(w));
-      batch.push_back({std::move(rq), w, admitted++, admit_s, hold});
-    }
-    if (!batch.empty()) CG_METRIC_COUNT("cluster.admission_batches", 1);
-    CG_METRIC_GAUGE_SET("cluster.in_flight", in_flight);
-    // GPU contention snapshot, frozen per request: the stale-snapshot
-    // mispricing the event loop's per-event accounting fixes.
-    const double gpu_share =
-        1.0 / static_cast<double>(std::min(opts_.num_workers,
-                                           std::max<size_t>(1, in_flight)));
+        1.0 / static_cast<double>(std::min(workers, std::max<size_t>(1, in_flight)));
     for (Admission& a : batch) {
-      threads.emplace_back(&ClusterServer::ServeOne, this, std::move(a.rq),
-                           a.worker, a.slot, a.admit_s, a.hold, gpu_share,
-                           outcomes);
+      // The coroutine runs on this thread up to its first link operation;
+      // its flow re-establishes the request id on every later resume.
+      obs::ScopedRequestId rid(TraceTrack(a.rq));
+      running[a.worker] = ServeRequest(std::move(a.rq), a.worker, a.outcome,
+                                       a.admit_s, gpu_share, outcomes,
+                                       &completions);
     }
   };
 
   admit_all();
   while (in_flight > 0) {
-    const SharedLink::Completion c = link_->PopCompletion(in_flight);
-    const size_t w = static_cast<size_t>(c.payload >> 32);
-    busy[w] = false;
-    free_at[w] = c.free_s;
-    --in_flight;
-    admit_all();  // admit before releasing the hold at c.free_s
-    link_->ReleaseHold(c.hold);
-  }
+    link_->ResumeReady();
 
-  for (std::thread& t : threads) t.join();
+    // The earliest finished request may hand its worker back once nothing
+    // still in flight can free earlier: its free instant has been reached,
+    // or every in-flight request has finished.
+    const auto best = std::min_element(
+        completions.begin(), completions.end(),
+        [](const Completion& a, const Completion& b) {
+          return a.free_s < b.free_s ||
+                 (a.free_s == b.free_s && a.worker < b.worker);
+        });
+    if (best != completions.end() &&
+        (completions.size() >= in_flight || best->free_s <= link_->now() + 1e-9)) {
+      const Completion c = *best;
+      completions.erase(best);
+      std::move(running[c.worker]).Get();  // rethrows a failed request
+      running[c.worker] = Task<>();
+      busy[c.worker] = false;
+      free_at[c.worker] = c.free_s;
+      --in_flight;
+      // AdvanceTo first: this completion's records belong to the window
+      // containing c.free_s.
+      if (series_) series_->AdvanceTo(c.free_s);
+      RecordOutcomeMetrics((*outcomes)[c.outcome]);
+      OnCompletionTelemetry((*outcomes)[c.outcome]);
+      admit_all();
+      continue;
+    }
+
+    // Virtual time may not pass the earliest pending completion: its worker
+    // takes the next admission at exactly that instant.
+    const double limit = best != completions.end()
+                             ? best->free_s
+                             : std::numeric_limits<double>::infinity();
+    if (!link_->Advance(limit)) {
+      // Nothing can run, finish or move. Either a request coroutine died
+      // before completing its flow (surface its exception), or what is
+      // pending can never finish (a path with no capacity from here on).
+      for (size_t w = 0; w < workers; ++w) {
+        if (busy[w] && running[w].done()) std::move(running[w]).Get();
+      }
+      throw std::logic_error("ClusterServer: virtual time stalled");
+    }
+  }
 }
 
-void ClusterServer::ServeOneEvent(ClusterRequest rq, size_t worker, size_t slot,
-                                  double admit_s, SharedLink::HoldId admit_hold,
-                                  double gpu_share,
-                                  std::vector<RequestOutcome>* outcomes,
-                                  WorkChannel& channel) {
-  // Everything this pool worker records below lands on this request's
-  // virtual track, including streamer and net events.
+Task<> ClusterServer::ServeRequest(ClusterRequest rq, size_t worker,
+                                   size_t outcome, double admit_s,
+                                   double gpu_share,
+                                   std::vector<RequestOutcome>* outcomes,
+                                   std::vector<Completion>* completions) {
+  // Everything recorded below lands on this request's virtual track,
+  // including streamer and net events: the coordinator starts the coroutine
+  // under the request id and SharedLink restores it on every resume.
   const uint64_t track = TraceTrack(rq);
-  obs::ScopedRequestId rid(track);
   CG_TRACE_VSPAN("cluster", "queue_wait", track, rq.arrival_s, admit_s);
 
   RequestFsm fsm(track);
   fsm.Feed(RequestEvent::kAdmit, admit_s);
 
   const SharedLink::FlowId flow = link_->Register(admit_s, rq.weight);
-  // Our unparked flow now freezes virtual time; the admission hold can go.
-  link_->ReleaseHold(admit_hold);
-
-  const TierLookup look = tier_->LookupAndPin(rq.context_id, rq.spec, admit_s);
-  const bool hit = look.hit();
-  const bool prefix = look.prefix_hit();
-  const bool cold = look.any_cold;
-  const bool remote = look.any_remote;
-  PinGuard pin =
-      look.pinned ? PinGuard::Adopt(*tier_, rq.context_id) : PinGuard();
-
-  const ContextPlan plan = engine_.PlanFromCalibration(rq.spec.num_tokens);
-  const double slo = rq.slo_s;
-  const double queue_delay = admit_s - rq.arrival_s;
-  const double slo_budget = std::max(0.05, slo - queue_delay);
-  KVStreamer streamer(engine_.cost(), engine_.model(), slo_budget,
-                      DefaultEncodingLevels().size());
-
-  // First-chunk prior, identical to the legacy path: the frozen admission
-  // share only seeds the adapter and the throughput hint — actual GPU time
-  // is priced per event by the arbiter's lane as it drains.
-  double hint = opts_.throughput_hint_gbps.value_or(
-      link_->CapacityGbpsAt(admit_s) * gpu_share);
-  if (remote) hint = std::min(hint, opts_.remote_read_gbps);
-  if (cold) hint = std::min(hint, opts_.cold_read_gbps);
-
-  const StreamMode mode =
-      hit ? (opts_.progressive ? StreamMode::kProgressive : StreamMode::kAdaptive)
-          : (prefix ? StreamMode::kAdaptive : StreamMode::kForceText);
-  const size_t kv_limit = prefix ? look.covered_chunks : SIZE_MAX;
-  ClientLink client(*link_, flow);
-  // A remote hit streams through the fabric interconnect first (bandwidth
-  // cap + one RTT to first byte); a cold promotion on a remote node stacks
-  // the device-read model on top of it.
-  std::optional<ThrottledLink> remote_client;
-  if (remote) {
-    remote_client.emplace(client, opts_.remote_read_gbps, opts_.remote_rtt_s);
-  }
-  Link& net = remote ? static_cast<Link&>(*remote_client) : client;
-  std::optional<ThrottledLink> cold_client;
-  if (cold) cold_client.emplace(net, opts_.cold_read_gbps, opts_.cold_seek_s);
-  Link& path = cold ? static_cast<Link&>(*cold_client) : net;
-
-  StreamHooks hooks;
-  hooks.post_gpu = [&](double arrival_s, double const_s, double shared_s) {
-    link_->PostGpuWork(flow, arrival_s, const_s, shared_s);
-  };
-  hooks.drain_gpu = [&] { return link_->DrainGpu(flow); };
-  hooks.on_transfer = [&](const StreamStep& step) {
-    if (step.enhancement && fsm.state() == RequestState::kKvStreaming) {
-      fsm.Feed(RequestEvent::kEnhance, step.tx_start_s);
-    }
-    fsm.Feed(RequestEvent::kChunkTransferDone, step.tx_end_s);
-  };
-  const StreamResult sr =
-      streamer.Stream(plan, path, gpu_share, hint, mode, kv_limit, &hooks);
-
-  // Transfers are done (last chunk_transfer_done instant) and the GPU lane
-  // has drained inside Stream(); stamp the two tail events.
-  fsm.Feed(RequestEvent::kDecode, fsm.last_event_s());
-  fsm.Feed(RequestEvent::kDecodeDone, admit_s + sr.stream_finish_s);
-
-  const double free_s = admit_s + std::max(sr.ttft_s, sr.stream_finish_s);
-
-  RequestOutcome& out = (*outcomes)[slot];
-  out.request = rq;
-  out.worker = worker;
-  out.admit_s = admit_s;
-  out.queue_delay_s = queue_delay;
-  out.load_finish_s = sr.load_finish_s;
-  out.ttft_s = queue_delay + sr.ttft_s;
-  out.finish_s = free_s;
-  out.slo_violated = queue_delay + sr.load_finish_s > slo + 1e-12;
-  out.cache_hit = hit;
-  out.cold_hit = hit && look.tier == KVTier::kCold;
-  out.remote_hit = remote;
-  out.prefix_hit = prefix;
-  out.covered_tokens = look.covered_tokens;
-  out.forced_text = !hit && !prefix;
-  out.quality = sr.quality;
-  out.bytes_sent = sr.bytes_sent;
-  out.base_quality = sr.base_quality;
-  out.refine_delay_s = std::max(0.0, sr.stream_finish_s - sr.load_finish_s);
-  out.base_token_fraction = sr.base_token_fraction;
-  out.enhanced_token_fraction = sr.enhanced_token_fraction;
-  out.fabric_node = look.home_node;
-
-  if (remote) {
-    // The interconnect leg of the stream: between queue_wait and the end of
-    // kv_stream on this track (ci/check_trace.py validates the ordering on
-    // every remote-hit track).
-    CG_TRACE_VSPAN("fabric", "remote_fetch", track, admit_s,
-                   admit_s + opts_.remote_rtt_s, "rtt_s", opts_.remote_rtt_s);
-  }
-  CG_TRACE_VSPAN("cluster", "kv_stream", track, admit_s,
-                 admit_s + sr.load_finish_s, "bytes",
-                 static_cast<double>(sr.bytes_sent));
-  // The cluster.* metrics for this request are recorded by the COORDINATOR
-  // when it pops this completion (RecordOutcomeMetrics), in deterministic
-  // completion order — a worker-side record here would land at a wall-clock
-  // instant and tear the telemetry sampler's windows.
-
-  // Cache-tier mutations happen BEFORE the worker slot is handed back —
-  // same reproducibility contract as the legacy path (see ServeOne).
-  if (!hit && opts_.write_back_on_miss) {
-    // The encode's real CPU cost is wall-clock work overlapping serving: it
-    // gets a wall span (pid 1). The lifecycle marker on the request's
-    // virtual track is zero-duration at the completion instant — virtual
-    // time is never stretched by machine speed, keeping replayed incident
-    // artifacts byte-identical.
-    CG_TRACE_SPAN("cluster", "write_back_persist");
-    tier_->BeginStore(rq.context_id, rq.spec);
-    PinGuard write_pin = PinGuard::Acquire(*tier_, rq.context_id);
-    try {
-      engine_.StoreKV(rq.context_id, rq.spec);
-      tier_->Touch(rq.context_id, free_s);
-      out.write_back_done = true;
-    } catch (const std::exception&) {
-      tier_->AbortStore(rq.context_id);
-      out.write_back_failed = true;
-    }
-    CG_TRACE_VSPAN("cluster", "write_back", track, free_s, free_s);
-  }
-  // Commit (or trivial skip) settled: the request's terminal event.
-  fsm.Feed(RequestEvent::kWriteBackCommitted, free_s);
-
-  const bool keep_pin_for_assembly = hit && opts_.assemble_kv;
-  if (look.pinned && !keep_pin_for_assembly) pin.Release();
-  link_->CompleteFlow(flow, free_s, PackPayload(worker, slot));
-
-  // The codec tail — real CPU, no virtual-time cost — goes to the
-  // continuation queue instead of keeping this slot's thread alive: any
-  // worker that goes idle drains it. The assembly pin rides along in a
-  // shared_ptr (std::function requires copyable captures).
-  std::vector<int> levels;
-  if (keep_pin_for_assembly) {
-    levels.reserve(sr.steps.size());
-    for (const StreamStep& step : sr.steps) {
-      if (step.enhancement) continue;
-      levels.push_back(step.config.text ? -1 : step.config.level_id);
-    }
-  }
-  auto tail_pin = std::make_shared<PinGuard>(std::move(pin));
-  channel.PushContinuation(
-      [this, spec = rq.spec, ctx = rq.context_id, levels = std::move(levels),
-       assemble = keep_pin_for_assembly, tail_pin, quality = sr.quality,
-       out_ptr = &out, track] {
-        obs::ScopedRequestId tail_rid(track);
-        if (assemble) {
-          CG_TRACE_SPAN("cluster", "assemble_kv");
-          try {
-            const KVCache kv = engine_.AssembleKV(ctx, spec, levels);
-            (void)kv;
-          } catch (const std::exception&) {
-            // A chunk was evicted between lookup and assembly under extreme
-            // capacity pressure; the text path would recompute it (already
-            // priced into the streaming timeline as the coarsest outcome).
-          }
-          tail_pin->Release();
-        }
-        out_ptr->answer_correct = engine_.GenerateWithKV(spec, quality).correct;
-      });
-}
-
-void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
-                             double admit_s, SharedLink::HoldId admit_hold,
-                             double gpu_share,
-                             std::vector<RequestOutcome>* outcomes) {
-  // Everything this thread records below — including streamer per-chunk and
-  // net grant events that never see the request struct — lands on this
-  // request's virtual track.
-  const uint64_t track = TraceTrack(rq);
-  obs::ScopedRequestId rid(track);
-  CG_TRACE_VSPAN("cluster", "queue_wait", track, rq.arrival_s, admit_s);
-
-  const SharedLink::FlowId flow = link_->Register(admit_s, rq.weight);
-  // Our unparked flow now freezes virtual time; the admission hold can go.
-  link_->ReleaseHold(admit_hold);
 
   const TierLookup look = tier_->LookupAndPin(rq.context_id, rq.spec, admit_s);
   const bool hit = look.hit();
@@ -605,12 +268,11 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   KVStreamer streamer(engine_.cost(), engine_.model(), slo_budget,
                       DefaultEncodingLevels().size());
 
-  // First-chunk prior: assume the path splits as many ways as the GPU does.
-  // gpu_share comes from the coordinator's in-flight count at admission, so
-  // the hint is deterministic (SharedLink::ActiveFlows() would race with
-  // peers still registering in wall-clock time). A cold stream's hint is
-  // capped at the cold device's read rate so the very first chunk is already
-  // picked for the slower path.
+  // First-chunk prior: assume the path splits as many ways as the GPU does
+  // at admission. The share only seeds the adapter and the throughput hint —
+  // actual GPU time is priced per event by the arbiter's lane as it drains.
+  // A cold or remote stream's hint is capped at that path's read rate so the
+  // very first chunk is already picked for the slower path.
   double hint = opts_.throughput_hint_gbps.value_or(
       link_->CapacityGbpsAt(admit_s) * gpu_share);
   if (remote) hint = std::min(hint, opts_.remote_read_gbps);
@@ -625,10 +287,9 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
           : (prefix ? StreamMode::kAdaptive : StreamMode::kForceText);
   const size_t kv_limit = prefix ? look.covered_chunks : SIZE_MAX;
   ClientLink client(*link_, flow);
-  // Remote streams pay the fabric interconnect (bandwidth cap + one RTT to
-  // first byte); cold streams run through the cold-read model on top of it.
-  // SLO accounting needs no special casing — the slower timeline simply is
-  // the stream's timeline.
+  // A remote hit streams through the fabric interconnect first (bandwidth
+  // cap + one RTT to first byte); a cold promotion on a remote node stacks
+  // the device-read model on top of it.
   std::optional<ThrottledLink> remote_client;
   if (remote) {
     remote_client.emplace(client, opts_.remote_read_gbps, opts_.remote_rtt_s);
@@ -637,8 +298,27 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   std::optional<ThrottledLink> cold_client;
   if (cold) cold_client.emplace(net, opts_.cold_read_gbps, opts_.cold_seek_s);
   Link& path = cold ? static_cast<Link&>(*cold_client) : net;
-  const StreamResult sr =
-      streamer.Stream(plan, path, gpu_share, hint, mode, kv_limit);
+
+  StreamHooks hooks;
+  hooks.post_gpu = [&](double arrival_s, double const_s, double shared_s) {
+    link_->PostGpuWork(flow, arrival_s, const_s, shared_s);
+  };
+  hooks.drain_gpu = [&]() -> Task<std::vector<double>> {
+    co_return co_await link_->DrainGpu(flow);
+  };
+  hooks.on_transfer = [&](const StreamStep& step) {
+    if (step.enhancement && fsm.state() == RequestState::kKvStreaming) {
+      fsm.Feed(RequestEvent::kEnhance, step.tx_start_s);
+    }
+    fsm.Feed(RequestEvent::kChunkTransferDone, step.tx_end_s);
+  };
+  const StreamResult sr = co_await streamer.Stream(plan, path, gpu_share, hint,
+                                                   mode, kv_limit, &hooks);
+
+  // Transfers are done (last chunk_transfer_done instant) and the GPU lane
+  // has drained inside Stream(); stamp the two tail events.
+  fsm.Feed(RequestEvent::kDecode, fsm.last_event_s());
+  fsm.Feed(RequestEvent::kDecodeDone, admit_s + sr.stream_finish_s);
 
   // The worker (and its link flow) stays occupied through the enhancement
   // pass, which overlaps the prompt pass that runs right after load_finish;
@@ -646,7 +326,7 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   // plain TTFT instant.
   const double free_s = admit_s + std::max(sr.ttft_s, sr.stream_finish_s);
 
-  RequestOutcome& out = (*outcomes)[slot];
+  RequestOutcome& out = (*outcomes)[outcome];
   out.request = rq;
   out.worker = worker;
   out.admit_s = admit_s;
@@ -670,6 +350,9 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
   out.fabric_node = look.home_node;
 
   if (remote) {
+    // The interconnect leg of the stream: between queue_wait and the end of
+    // kv_stream on this track (ci/check_trace.py validates the ordering on
+    // every remote-hit track).
     CG_TRACE_VSPAN("fabric", "remote_fetch", track, admit_s,
                    admit_s + opts_.remote_rtt_s, "rtt_s", opts_.remote_rtt_s);
   }
@@ -677,31 +360,22 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
                  admit_s + sr.load_finish_s, "bytes",
                  static_cast<double>(sr.bytes_sent));
 
-  // Cache-tier mutations happen BEFORE the worker slot is handed back:
-  // CompleteFlow is what lets the coordinator admit the next request, so
-  // ordering write-back (and the hit-path unpin, which can itself evict by
-  // re-enforcing capacity) first guarantees a successor admitted because of
-  // this completion sees a settled cache tier — hit/miss outcomes stay
-  // reproducible instead of racing in wall-clock time. A partial-prefix hit
-  // writes back too (it is a context-level miss): under a prefix-aware tier
-  // the covered chunks dedup into the store and only the suffix costs bytes.
+  // Cache-tier mutations happen BEFORE the worker is handed back: a
+  // successor admitted because of this completion sees a settled tier. A
+  // partial-prefix hit writes back too (it is a context-level miss): under a
+  // prefix-aware tier the covered chunks dedup into the store and only the
+  // suffix costs bytes.
   if (!hit && opts_.write_back_on_miss) {
+    // The encode's real CPU cost gets a wall span (pid 1). The lifecycle
+    // marker on the request's virtual track is zero-duration at the
+    // completion instant — virtual time is never stretched by machine
+    // speed, keeping replayed incident artifacts byte-identical.
+    CG_TRACE_SPAN("cluster", "write_back_persist");
     // Announce BEFORE pinning: a prefix-aware tier routes Pin() by what it
     // knows about the id, so the announcement is what turns this pin into a
-    // pending context pin that carries over to the registration — pinned
-    // the other way round, a freshly registered context would sit unpinned
-    // at LRU stamp 0, the prime victim for a concurrent worker's eviction
-    // before Touch() runs.
+    // pending context pin that carries over to the registration.
     tier_->BeginStore(rq.context_id, rq.spec);
-    // Guard, not a bare Pin/Unpin pair: StoreKV throwing (full disk, failing
-    // backend) used to leave the context pinned forever — unevictable dead
-    // capacity. The write-back itself is best-effort: on failure the context
-    // simply stays uncached and the worker carries on.
     PinGuard write_pin = PinGuard::Acquire(*tier_, rq.context_id);
-    // Real CPU cost as a wall span; the virtual lifecycle marker stays
-    // zero-duration at the completion instant (virtual time never stretches
-    // with machine speed — see ServeOneEvent).
-    CG_TRACE_SPAN("cluster", "write_back_persist");
     try {
       engine_.StoreKV(rq.context_id, rq.spec);
       // Put() cannot know virtual time; stamp recency here or the fresh
@@ -710,24 +384,23 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
       out.write_back_done = true;
     } catch (const std::exception&) {
       // StoreKV persists through PutBatch, which rolls a failed insert of a
-      // previously-absent context back entirely — no half-written context
-      // is ever visible. The context simply stays uncached (the guard drops
-      // the pin); the tier just gets to retire the unconsumed announcement.
+      // previously-absent context back entirely. The context simply stays
+      // uncached (the guard drops the pin); the tier retires the
+      // unconsumed announcement.
       tier_->AbortStore(rq.context_id);
       out.write_back_failed = true;
     }
     CG_TRACE_VSPAN("cluster", "write_back", track, free_s, free_s);
   }
-  // Legacy path: record inline on the worker (no coordinator sampling in
-  // thread-per-request mode).
-  RecordOutcomeMetrics(out);
+  // Commit (or trivial skip) settled: the request's terminal event.
+  fsm.Feed(RequestEvent::kWriteBackCommitted, free_s);
+
   const bool keep_pin_for_assembly = hit && opts_.assemble_kv;
   if (look.pinned && !keep_pin_for_assembly) pin.Release();
-  link_->CompleteFlow(flow, free_s, PackPayload(worker, slot));
+  completions->push_back({link_->CompleteFlow(flow, free_s), worker, outcome});
 
-  // Below here only read-only (or pin-release) work remains; it runs after
-  // the slot is handed back so the real codec CPU cost parallelizes across
-  // workers instead of freezing virtual time.
+  // The codec tail: real CPU, no virtual-time cost. AssembleKV fans its
+  // decode out over the codec pool.
   if (keep_pin_for_assembly) {
     std::vector<int> levels;
     levels.reserve(sr.steps.size());
@@ -748,7 +421,6 @@ void ClusterServer::ServeOne(ClusterRequest rq, size_t worker, size_t slot,
     }
     pin.Release();
   }
-
   out.answer_correct = engine_.GenerateWithKV(rq.spec, sr.quality).correct;
 }
 
@@ -786,10 +458,7 @@ void ClusterServer::StartTelemetry() {
   last_completion_s_ = 0.0;
   incident_injected_ = false;
   const TelemetryOptions& t = opts_.telemetry;
-  if (t.sample_period_s <= 0.0 ||
-      opts_.serve_mode != ServeMode::kEventLoop) {
-    return;
-  }
+  if (t.sample_period_s <= 0.0) return;
   obs::TimeSeriesCollector::Options copts;
   copts.period_s = t.sample_period_s;
   copts.max_windows = t.max_windows;

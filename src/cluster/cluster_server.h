@@ -1,22 +1,23 @@
 // ClusterServer: the concurrent serving layer above the single-request
 // substrate (codec -> streamer -> engine). One Engine, one CacheTier, one
-// shared network path, and a fixed pool of W worker threads driving a
-// completion-queue / progress-engine loop:
+// shared network path, and num_workers request slots, all driven by one
+// coordinator loop on the calling thread:
 //
-//   coordinator --admission queue--> worker pool --stream--> SharedLink
-//        ^                             |   ^
-//        |                             |   +-- continuation queue (codec
-//        |                             |       tails: assemble/generate)
-//        |                             +-- Engine::AssembleKV / StoreKV
-//        +---- completion channel (virtual-time ordered) ----+
+//   scheduler --admit--> request coroutine --co_await--> SharedLink
+//       ^                (KVStreamer, lookup,            (fluid link + GPU
+//       |                 write-back, codec tail)         lanes, virtual time)
+//       |                        |                             |
+//       +--- completions, popped in virtual-time order --------+
 //
-// Each request is a RequestFsm advanced by events (admission, chunk-transfer
-// done, decode done, write-back committed); no thread is ever spawned per
-// request, so 100k+-request traces run on num_workers OS threads. Workers
-// that go idle drain the continuation queue, so post-completion codec tails
-// parallelize without outliving any slot.
+// Each admitted request runs as a coroutine (ServeRequest) that advances a
+// RequestFsm by events (admission, chunk-transfer done, decode done,
+// write-back committed). Its link sends and GPU drains suspend it; the
+// coordinator resumes finished ones in FlowId order, advances SharedLink's
+// virtual time, and hands freed slots to the scheduler. No thread is spawned
+// per request or per slot: the only other threads Serve() uses are the codec
+// pool's (ParallelFor inside encode/decode).
 //
-// Admission: when a worker frees at virtual instant t, the scheduler policy
+// Admission: when a slot frees at virtual instant t, the scheduler policy
 // (FIFO / shortest-load-first / SLO-deadline-first) picks among requests
 // arrived by t. The admitted request's KV streams over the SharedLink with
 // the unmodified KVStreamer — its adapter sees the *observed shared*
@@ -51,16 +52,14 @@
 // the server itself holds a single CacheTier and never dispatches on the
 // concrete arrangement.
 //
-// Determinism: streaming timelines, admission order, and all latency
-// metrics depend only on (trace, options) — virtual time is advanced by
-// SharedLink's barrier, never by OS scheduling. Cache write-backs (and the
-// default hit path's pin release) are ordered before the completion that
-// unlocks successor admissions, so hit/miss outcomes are reproducible too.
-// Two timing-dependent corners remain, both mirroring a real cluster:
-// simultaneously admitted requests racing for a context one of them is
-// still writing back, and — with assemble_kv under capacity pressure —
-// a hit's pin lingering through its wall-clock assembly, which can shift
-// which context a concurrent write-back evicts.
+// Determinism: outcomes, cache state and every coordinator-recorded metric
+// are a pure function of (trace, options, tier contents). Virtual time moves
+// only inside SharedLink::Advance; a request's tier mutations (lookup and
+// pin at admission, write-back and unpin when its stream ends, assembly
+// when it completes) run on the coordinator thread in that virtual-time
+// order, ties broken by FlowId; and completions are handed back in order of
+// free instant (ties by worker), so successors admitted at a completion see
+// a settled tier.
 #pragma once
 
 #include <memory>
@@ -76,6 +75,7 @@
 #include "cluster/request_queue.h"
 #include "cluster/scheduler.h"
 #include "cluster/shared_link.h"
+#include "common/task.h"
 #include "net/bandwidth_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/slo_monitor.h"
@@ -89,18 +89,6 @@ namespace cachegen {
 
 class ClusterServer {
  public:
-  enum class ServeMode {
-    // Fixed pool of worker threads driving a completion-queue loop: each
-    // request is a RequestFsm advanced by events, codec tails drain through
-    // a continuation queue, and GPU work is priced per event by the
-    // arbiter's lanes. OS thread count is bounded by num_workers regardless
-    // of trace length.
-    kEventLoop,
-    // Legacy one-std::thread-per-request serving with the GPU share frozen
-    // at admission. Kept as the bench_event_loop comparison baseline only.
-    kThreadPerRequest,
-  };
-
   // Continuous telemetry over one Serve() run: virtual-time metric windows
   // (TimeSeriesCollector), multi-window burn-rate alerting (SloMonitor), and
   // incident capture (FlightRecorder), all driven from the coordinator's
@@ -129,9 +117,11 @@ class ClusterServer {
   };
 
   struct Options {
+    // Modelled serving capacity: the number of requests in flight at once
+    // (request slots), which is also the GPU's sharer cap. Not a thread
+    // count — Serve() runs every request on the calling thread.
     size_t num_workers = 4;
     SchedulerPolicyKind policy = SchedulerPolicyKind::kFifo;
-    ServeMode serve_mode = ServeMode::kEventLoop;
     double default_slo_s = 2.0;  // for requests with slo_s <= 0
     // Decode the delivered bitstreams into a real KVCache after streaming
     // (exercises the actual codec; costs real CPU, not virtual time).
@@ -163,9 +153,7 @@ class ClusterServer {
     // hit and a miss (the bench_cache_fabric CI gate).
     double remote_read_gbps = 2.0;
     double remote_rtt_s = 0.01;
-    // Continuous telemetry (event-loop mode only; ignored in the legacy
-    // thread-per-request baseline, whose workers record metrics in wall
-    // order and cannot be sampled deterministically).
+    // Continuous telemetry over each Serve() run.
     TelemetryOptions telemetry;
   };
 
@@ -206,35 +194,32 @@ class ClusterServer {
   const SharedLink* link() const { return link_.get(); }
 
   // Continuous-telemetry state of the last Serve() run (null before the
-  // first run, or when telemetry.sample_period_s <= 0, or in the legacy
-  // thread-per-request mode).
+  // first run, or when telemetry.sample_period_s <= 0).
   const obs::TimeSeriesCollector* timeseries() const { return series_.get(); }
   const obs::SloMonitor* slo_monitor() const { return monitor_.get(); }
   const obs::FlightRecorder* flight_recorder() const { return recorder_.get(); }
 
  private:
-  struct WorkChannel;  // admission + continuation queues of one event loop
+  // A finished request waiting to hand its slot back.
+  struct Completion {
+    double free_s = 0.0;  // virtual instant the worker frees
+    size_t worker = 0;
+    size_t outcome = 0;   // index into the outcome vector
+  };
 
-  void ServeEventLoop(RequestQueue& queue, size_t n,
-                      std::vector<RequestOutcome>* outcomes);
-  void ServeThreadPerRequest(RequestQueue& queue, size_t n,
-                             std::vector<RequestOutcome>* outcomes);
-  // One request end to end on a pool worker: stream (GPU priced per event),
-  // write back, complete the flow, enqueue the codec tail.
-  void ServeOneEvent(ClusterRequest rq, size_t worker, size_t slot,
-                     double admit_s, SharedLink::HoldId admit_hold,
-                     double gpu_share, std::vector<RequestOutcome>* outcomes,
-                     WorkChannel& channel);
-  // Legacy baseline body (ServeMode::kThreadPerRequest).
-  void ServeOne(ClusterRequest rq, size_t worker, size_t slot, double admit_s,
-                SharedLink::HoldId admit_hold, double gpu_share,
-                std::vector<RequestOutcome>* outcomes);
+  // The coordinator: admit, resume, advance, pop completions.
+  void RunCoordinator(RequestQueue& queue, std::vector<RequestOutcome>* outcomes);
+  // One request end to end as a coroutine: lookup and pin, stream (GPU priced
+  // per event), write back, complete the flow, then the codec tail
+  // (assembly, generation).
+  Task<> ServeRequest(ClusterRequest rq, size_t worker, size_t outcome,
+                      double admit_s, double gpu_share,
+                      std::vector<RequestOutcome>* outcomes,
+                      std::vector<Completion>* completions);
 
-  // The per-request cluster.* metric block, shared by both serve paths. In
-  // event-loop mode the COORDINATOR calls it per popped completion (after
-  // TimeSeriesCollector::AdvanceTo), so metric order matches completion
-  // order and windows are deterministic; the legacy path calls it inline on
-  // the worker.
+  // The per-request cluster.* metric block, recorded by the coordinator per
+  // popped completion (after TimeSeriesCollector::AdvanceTo), so metric
+  // order matches completion order and windows are deterministic.
   static void RecordOutcomeMetrics(const RequestOutcome& out);
 
   // Continuous-telemetry plumbing (coordinator thread only).
@@ -250,8 +235,7 @@ class ClusterServer {
   Options opts_;
   std::unique_ptr<SharedLink> link_;
 
-  // Telemetry state of the current/last run, touched only by the
-  // coordinator thread of Serve() (see TelemetryOptions).
+  // Telemetry state of the current/last run (see TelemetryOptions).
   std::unique_ptr<obs::TimeSeriesCollector> series_;
   std::unique_ptr<obs::SloMonitor> monitor_;
   std::unique_ptr<obs::FlightRecorder> recorder_;

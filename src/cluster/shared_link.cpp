@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,79 +17,41 @@ constexpr double kTimeEps = 1e-12;
 
 SharedLink::SharedLink(BandwidthTrace capacity) : capacity_(std::move(capacity)) {}
 
-SharedLink::HoldId SharedLink::HoldAt(double t_s) {
-  MutexLock lk(mu_);
-  const HoldId id = next_hold_++;
-  holds_[id] = std::max(t_s, now_s_);
-  return id;
-}
+void SharedLink::SetGpuSlots(size_t n) { gpu_slots_ = n; }
 
-void SharedLink::ReleaseHold(HoldId id) {
-  MutexLock lk(mu_);
-  holds_.erase(id);
-  AdvanceLocked();
-  cv_.NotifyAll();
-}
-
-void SharedLink::SetGpuSlots(size_t n) {
-  MutexLock lk(mu_);
-  gpu_slots_ = n;
-}
-
-SharedLink::HoldId SharedLink::HoldAdmission(double t_s) {
-  MutexLock lk(mu_);
-  const HoldId id = next_hold_++;
-  const double t = std::max(t_s, now_s_);
-  holds_[id] = t;
-  // The +1 rides under this hold: time cannot pass the admission instant
-  // until the caller releases it, so no lane segment beyond t is ever priced
-  // without this entry.
-  gpu_events_[t] += 1;
-  return id;
+void SharedLink::AddGpuSharer(double t_s) {
+  gpu_events_[std::max(t_s, now_s_)] += 1;
 }
 
 void SharedLink::PostGpuWork(FlowId id, double arrival_s, double const_s,
                              double shared_s) {
-  MutexLock lk(mu_);
-  Flow& f = flows_.at(id);
   GpuItem item;
   item.arrival_s = std::max(arrival_s, 0.0);
   item.const_rem = std::max(const_s, 0.0);
   item.shared_rem = std::max(shared_s, 0.0);
-  if (item.const_rem <= 0.0 && item.shared_rem <= 0.0) {
-    // Degenerate item: completes the instant it becomes head.
-    item.const_rem = 0.0;
-    item.shared_rem = 0.0;
-  }
-  f.lane.push_back(item);
-  // No AdvanceLocked: the posting worker is unparked, so time is frozen; the
-  // lane drains on the next advance.
+  flows_.at(id).lane.push_back(item);
 }
 
-std::vector<double> SharedLink::DrainGpu(FlowId id) {
-  MutexLock lk(mu_);
+SharedLink::Op<std::vector<double>> SharedLink::DrainGpu(FlowId id) {
   Flow& f = flows_.at(id);
+  f.end_s = f.clock;
   if (!f.lane.empty()) {
     f.t_start = f.clock;
     f.remaining = 0.0;
     f.wake_at = -1.0;
-    f.done = false;
-    f.parked = true;
-    f.draining = true;
-    AdvanceLocked();
-    cv_.NotifyAll();
-    while (!f.done) cv_.Wait(mu_);
-    f.done = false;
-    f.draining = false;
-    f.clock = f.end_s;
+    f.pending = Pending::kDrain;
   }
+  return {*this, f};
+}
+
+std::vector<double> SharedLink::CollectDrain(Flow& f) {
+  f.clock = f.end_s;
   std::vector<double> out = std::move(f.gpu_done);
   f.gpu_done.clear();
   return out;
 }
 
 double SharedLink::GpuShareAt(double t_s) const {
-  MutexLock lk(mu_);
   int n = gpu_base_inflight_;
   for (const auto& [t, delta] : gpu_events_) {
     if (t <= t_s + kTimeEps) n += delta;
@@ -99,147 +62,94 @@ double SharedLink::GpuShareAt(double t_s) const {
 }
 
 SharedLink::FlowId SharedLink::Register(double start_s, double weight) {
-  MutexLock lk(mu_);
   const FlowId id = next_flow_++;
-  Flow f;
+  Flow& f = flows_[id];
   f.clock = std::max(start_s, now_s_);
   f.weight = weight > 0.0 ? weight : 1.0;
-  flows_[id] = f;
-  // No AdvanceLocked: the new flow is unparked, so time is frozen until it
-  // posts its first Transfer (or deregisters).
+  f.track = obs::ScopedRequestId::Current();
   return id;
 }
 
-void SharedLink::Deregister(FlowId id) {
-  MutexLock lk(mu_);
-  flows_.erase(id);
-  AdvanceLocked();
-  cv_.NotifyAll();
-}
+void SharedLink::Deregister(FlowId id) { flows_.erase(id); }
 
-TransferRecord SharedLink::Transfer(FlowId id, double bytes) {
-  MutexLock lk(mu_);
+SharedLink::Op<TransferRecord> SharedLink::Transfer(FlowId id, double bytes) {
   Flow& f = flows_.at(id);
   f.t_start = std::max(f.clock, now_s_);
+  f.bytes = bytes;
   f.remaining = std::max(bytes, 0.0);
   f.wake_at = -1.0;
-  f.done = false;
   if (f.remaining <= kByteEps) {
     f.remaining = 0.0;
     f.end_s = f.t_start;
-    f.done = true;
   } else {
-    f.parked = true;
-    AdvanceLocked();
+    f.pending = Pending::kTransfer;
   }
-  cv_.NotifyAll();
-  while (!f.done) cv_.Wait(mu_);
-  f.done = false;
+  return {*this, f};
+}
+
+TransferRecord SharedLink::CollectTransfer(Flow& f) {
   f.clock = f.end_s;
   TransferRecord rec;
   rec.start_s = f.t_start;
   rec.end_s = f.end_s;
-  rec.bytes = bytes;
-  // The grant instant lands on the calling thread's request track: the
-  // arbiter granted this flow `bytes` of max-min fair share by rec.end_s.
+  rec.bytes = f.bytes;
+  // The grant instant lands on the resumed request's track: the arbiter
+  // granted this flow `bytes` of max-min fair share by rec.end_s.
   CG_METRIC_COUNT("net.grants", 1);
-  CG_METRIC_COUNT("net.granted_bytes", static_cast<uint64_t>(bytes));
+  CG_METRIC_COUNT("net.granted_bytes", static_cast<uint64_t>(rec.bytes));
   CG_TRACE_VINSTANT("net", "grant", obs::ScopedRequestId::Current(), rec.end_s,
-                    "bytes", bytes);
+                    "bytes", rec.bytes);
   return rec;
 }
 
-void SharedLink::WaitUntil(FlowId id, double t_s) {
-  MutexLock lk(mu_);
+SharedLink::Op<void> SharedLink::WaitUntil(FlowId id, double t_s) {
   Flow& f = flows_.at(id);
-  if (t_s <= f.clock + kTimeEps) return;
-  f.t_start = f.clock;
-  f.remaining = 0.0;
-  f.wake_at = t_s;
-  f.done = false;
-  f.parked = true;
-  AdvanceLocked();
-  cv_.NotifyAll();
-  while (!f.done) cv_.Wait(mu_);
-  f.done = false;
-  f.clock = f.end_s;
-}
-
-double SharedLink::FlowClock(FlowId id) const {
-  MutexLock lk(mu_);
-  return flows_.at(id).clock;
-}
-
-void SharedLink::CompleteFlow(FlowId id, double free_s, uint64_t payload) {
-  MutexLock lk(mu_);
-  flows_.erase(id);
-  Completion c;
-  c.free_s = std::max(free_s, now_s_);
-  c.payload = payload;
-  c.hold = next_hold_++;
-  holds_[c.hold] = c.free_s;
-  // Ledger -1 at the free instant, atomic with the hold: every surviving
-  // lane is priced at the higher share from this instant onward.
-  gpu_events_[c.free_s] -= 1;
-  completions_.push_back(c);
-  AdvanceLocked();
-  cv_.NotifyAll();
-}
-
-SharedLink::Completion SharedLink::PopCompletion(size_t in_flight) {
-  MutexLock lk(mu_);
-  size_t best = 0;
-  for (;;) {
-    bool ready = false;
-    if (!completions_.empty()) {
-      best = 0;
-      for (size_t i = 1; i < completions_.size(); ++i) {
-        const Completion& a = completions_[i];
-        const Completion& b = completions_[best];
-        if (a.free_s < b.free_s ||
-            (a.free_s == b.free_s && a.payload < b.payload)) {
-          best = i;
-        }
-      }
-      // Safe to release: nothing still in flight can complete earlier. Any
-      // in-flight request not yet queued here either holds time at its
-      // admission instant or has a registered flow, so its eventual free
-      // instant lies strictly beyond now().
-      ready = completions_.size() >= in_flight ||
-              completions_[best].free_s <= now_s_ + 1e-9;
-    }
-    if (ready) break;
-    cv_.Wait(mu_);
+  f.end_s = f.clock;
+  if (t_s > f.clock + kTimeEps) {
+    f.t_start = f.clock;
+    f.remaining = 0.0;
+    f.wake_at = t_s;
+    f.pending = Pending::kWait;
   }
-  Completion c = completions_[best];
-  completions_.erase(completions_.begin() +
-                     static_cast<std::ptrdiff_t>(best));
-  return c;
+  return {*this, f};
 }
 
-double SharedLink::now() const {
-  MutexLock lk(mu_);
-  return now_s_;
-}
-
-size_t SharedLink::ActiveFlows() const {
-  MutexLock lk(mu_);
-  return flows_.size();
-}
-
-double SharedLink::MinHoldLocked() const {
-  double t = kInf;
-  for (const auto& [id, hold_t] : holds_) t = std::min(t, hold_t);
+double SharedLink::CompleteFlow(FlowId id, double free_s) {
+  flows_.erase(id);
+  const double t = std::max(free_s, now_s_);
+  // Ledger -1 at the free instant: every surviving lane is priced at the
+  // higher share from this instant onward.
+  gpu_events_[t] -= 1;
   return t;
 }
 
-double SharedLink::GpuShareLocked() const {
+void SharedLink::Finish(FlowId id, Flow& f, double end_s) {
+  f.pending = Pending::kNone;
+  f.end_s = end_s;
+  ready_.push_back({id, std::exchange(f.waiter, {}), f.track});
+}
+
+bool SharedLink::ResumeReady() {
+  if (ready_.empty()) return false;
+  // Resumed coroutines only post operations; none finishes before the next
+  // Advance, so the batch cannot grow while it runs.
+  resuming_.swap(ready_);
+  for (const Ready& r : resuming_) {
+    if (!r.h) continue;
+    obs::ScopedRequestId rid(r.track);
+    r.h.resume();
+  }
+  resuming_.clear();
+  return true;
+}
+
+double SharedLink::GpuShare() const {
   size_t eff = static_cast<size_t>(std::max(1, gpu_base_inflight_));
   if (gpu_slots_ > 0) eff = std::min(eff, gpu_slots_);
   return 1.0 / static_cast<double>(eff);
 }
 
-void SharedLink::FoldGpuLedgerLocked() {
+void SharedLink::FoldGpuLedger() {
   while (!gpu_events_.empty() &&
          gpu_events_.begin()->first <= now_s_ + kTimeEps) {
     gpu_base_inflight_ += gpu_events_.begin()->second;
@@ -254,52 +164,49 @@ double SharedLink::NextSegmentBoundaryAfter(double t_s) const {
   return kInf;
 }
 
-void SharedLink::AdvanceLocked() {
+bool SharedLink::Advance(double limit_s) {
+  bool progressed = false;
   for (;;) {
-    if (flows_.empty()) return;
+    if (flows_.empty()) return progressed;
     for (const auto& [id, f] : flows_) {
-      if (!f.parked) return;  // a worker thread is mid-computation: freeze
+      // A coroutine is mid-computation (or has yet to be resumed): freeze.
+      if (f.pending == Pending::kNone) return progressed;
     }
 
     // Every ledger event at or before now is settled; fold it into the base
     // count so share lookups are O(1) and the event map stays small.
-    FoldGpuLedgerLocked();
+    FoldGpuLedger();
 
-    // Wake waiters whose instant has been reached (even under a hold).
+    // Wake waiters whose instant has been reached (even at the limit).
     bool completed = false;
     double dormant_t = kInf, wake_t = kInf;
-    std::vector<Flow*> active;
+    std::vector<std::pair<FlowId, Flow*>> active;
     for (auto& [id, f] : flows_) {
       if (f.remaining > 0.0) {
         if (f.clock > now_s_ + kTimeEps) {
           dormant_t = std::min(dormant_t, f.clock);  // admitted in the future
         } else {
-          active.push_back(&f);
+          active.emplace_back(id, &f);
         }
-      } else if (f.draining) {
+      } else if (f.pending == Pending::kDrain) {
         if (f.lane.empty()) {
-          f.parked = false;
-          f.done = true;
-          f.end_s = std::max(f.clock, now_s_);
+          Finish(id, f, std::max(f.clock, now_s_));
           completed = true;
         }
         // else: the wake event is the lane's last item finishing, priced in
         // the GPU scan below.
       } else if (f.wake_at <= now_s_ + kTimeEps) {
-        f.parked = false;
-        f.done = true;
-        f.end_s = std::max(f.wake_at, f.t_start);
+        Finish(id, f, std::max(f.wake_at, f.t_start));
         completed = true;
       } else {
         wake_t = std::min(wake_t, f.wake_at);
       }
     }
-    if (completed) return;
+    if (completed) return true;
 
-    const double hold_cap = MinHoldLocked();
-    if (hold_cap <= now_s_ + kTimeEps) return;  // parked at a hold
+    if (limit_s <= now_s_ + kTimeEps) return progressed;  // at the limit
 
-    double t_next = std::min({hold_cap, dormant_t, wake_t});
+    double t_next = std::min({limit_s, dormant_t, wake_t});
     t_next = std::min(t_next, NextSegmentBoundaryAfter(now_s_));
     // The GPU share changes at the next ledger instant; no lane segment may
     // integrate across it.
@@ -309,7 +216,7 @@ void SharedLink::AdvanceLocked() {
 
     // GPU lane heads: project each startable head's completion at the
     // current share; future starts are boundaries of their own.
-    const double share = GpuShareLocked();
+    const double share = GpuShare();
     std::vector<std::pair<Flow*, double>> gpu_heads;  // flow -> projected fin
     double min_gpu_finish = kInf;
     for (auto& [id, f] : flows_) {
@@ -327,13 +234,13 @@ void SharedLink::AdvanceLocked() {
 
     const double cap_bps = capacity_.BytesPerSecAt(now_s_);
     double weight_sum = 0.0;
-    for (const Flow* f : active) weight_sum += f->weight;
+    for (const auto& [id, f] : active) weight_sum += f->weight;
     std::vector<double> finish(active.size(), kInf);
     double min_bw_finish = kInf;
     if (cap_bps > 0.0) {
       for (size_t i = 0; i < active.size(); ++i) {
-        const double rate = cap_bps * active[i]->weight / weight_sum;
-        finish[i] = now_s_ + active[i]->remaining / rate;
+        const double rate = cap_bps * active[i].second->weight / weight_sum;
+        finish[i] = now_s_ + active[i].second->remaining / rate;
         min_bw_finish = std::min(min_bw_finish, finish[i]);
       }
     }
@@ -345,19 +252,17 @@ void SharedLink::AdvanceLocked() {
     const double min_finish = std::min(min_bw_finish, min_gpu_finish);
     const bool finish_event = min_finish <= t_next;
     if (finish_event) t_next = min_finish;
-    if (!std::isfinite(t_next)) return;  // nothing pending can ever fire
+    if (!std::isfinite(t_next)) return progressed;  // nothing pending can fire
     const double finish_tol =
         t_next + 4.0 * std::numeric_limits<double>::epsilon() * std::max(1.0, t_next);
 
     const double dt = t_next - now_s_;
     if (cap_bps > 0.0) {
       for (size_t i = 0; i < active.size(); ++i) {
-        Flow* f = active[i];
+        auto& [id, f] = active[i];
         if (finish_event && finish[i] <= finish_tol) {
           f->remaining = 0.0;
-          f->parked = false;
-          f->done = true;
-          f->end_s = t_next;
+          Finish(id, *f, t_next);
           completed = true;
         } else {
           const double rate = cap_bps * f->weight / weight_sum;
@@ -380,7 +285,8 @@ void SharedLink::AdvanceLocked() {
       }
     }
     now_s_ = t_next;
-    if (completed) return;
+    progressed = true;
+    if (completed) return true;
   }
 }
 
@@ -389,21 +295,20 @@ ClientLink::ClientLink(SharedLink& shared, SharedLink::FlowId flow)
   now_s_ = shared_.FlowClock(flow_);
 }
 
-TransferRecord ClientLink::Send(double bytes) {
-  const TransferRecord rec = shared_.Transfer(flow_, bytes);
+Task<TransferRecord> ClientLink::Send(double bytes) {
+  const TransferRecord rec = co_await shared_.Transfer(flow_, bytes);
   now_s_ = rec.end_s;
-  return rec;
+  co_return rec;
 }
 
-void ClientLink::AdvanceTo(double t_s) {
-  shared_.WaitUntil(flow_, t_s);
+Task<> ClientLink::AdvanceTo(double t_s) {
+  co_await shared_.WaitUntil(flow_, t_s);
   now_s_ = std::max(now_s_, t_s);
 }
 
 double ClientLink::CurrentGbps() const {
-  // The path's aggregate capacity at this flow's clock. The flow's own
-  // share varies with contention; dividing by ActiveFlows() here would read
-  // a wall-clock-racy count, so callers wanting the observed per-flow rate
+  // The path's aggregate capacity at this flow's clock. The flow's own share
+  // varies with contention; callers wanting the observed per-flow rate
   // should use TransferRecord::ThroughputGbps() instead.
   return shared_.CapacityGbpsAt(now_s_);
 }

@@ -7,10 +7,13 @@
 //
 // The interface is virtual so one request's streamer is agnostic to whether
 // it owns the whole path (Link over a BandwidthTrace) or shares it with
-// other in-flight requests (cluster SharedLink::ClientLink, whose transfer
-// times come from a fair-share arbiter over the aggregate capacity).
+// other in-flight requests (cluster ClientLink, whose transfer times come
+// from a fair-share arbiter over the aggregate capacity). Send and AdvanceTo
+// are coroutines: a private Link completes them inline, a shared path
+// suspends the caller until the simulated transfer or wait is over.
 #pragma once
 
+#include "common/task.h"
 #include "net/bandwidth_trace.h"
 
 namespace cachegen {
@@ -35,12 +38,12 @@ class Link {
   virtual ~Link() = default;
 
   // Send `bytes` starting at the current link time; advances the clock and
-  // returns the transfer record.
-  virtual TransferRecord Send(double bytes);
+  // yields the transfer record.
+  virtual Task<TransferRecord> Send(double bytes);
 
   // Advance the clock without sending (e.g. while the GPU recomputes a text
   // chunk and the link idles).
-  virtual void AdvanceTo(double t_s);
+  virtual Task<> AdvanceTo(double t_s);
 
   virtual double now() const { return now_s_; }
   virtual double CurrentGbps() const { return trace_.GbpsAt(now_s_); }
@@ -65,8 +68,8 @@ class ThrottledLink final : public Link {
  public:
   ThrottledLink(Link& inner, double read_gbps, double first_byte_delay_s = 0.0);
 
-  TransferRecord Send(double bytes) override;
-  void AdvanceTo(double t_s) override { inner_.AdvanceTo(t_s); }
+  Task<TransferRecord> Send(double bytes) override;
+  Task<> AdvanceTo(double t_s) override { return inner_.AdvanceTo(t_s); }
   double now() const override { return inner_.now(); }
   double CurrentGbps() const override;
 

@@ -28,8 +28,6 @@ inline constexpr const char* kMetricNames[] = {
     "cluster.hits.prefix",
     "cluster.in_flight",
     "cluster.misses",
-    "cluster.queue.admission_depth",
-    "cluster.queue.continuation_depth",
     "cluster.queue_delay_us",
     "cluster.remote_streams",
     "cluster.requests",

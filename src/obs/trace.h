@@ -17,8 +17,9 @@
 // never contend with each other. Event name/category strings must be string
 // LITERALS (stored as pointers; nothing is copied on the hot path).
 //
-// Request-id propagation: ClusterServer::ServeOne scopes the request id
-// thread-locally (ScopedRequestId); everything recorded on that thread —
+// Request-id propagation: ClusterServer scopes the request id thread-locally
+// (ScopedRequestId) while it starts a request coroutine, and SharedLink
+// re-establishes it on every resume; everything recorded meanwhile —
 // including streamer and net events that never see the request struct —
 // lands on the right virtual track and carries the id in its args.
 //

@@ -62,7 +62,7 @@ BatchResult BatchStreamer::Stream(const std::vector<ContextPlan>& plans, Link& l
         gpu_seconds = cost_.DecodeSeconds(model_.RawKVBytes(tokens), gpu_share);
       }
 
-      const TransferRecord rec = link.Send(tx_bytes);
+      const TransferRecord rec = link.Send(tx_bytes).Get();
       measured_bytes_per_s =
           rec.Seconds() > 0.0 ? tx_bytes / rec.Seconds() : measured_bytes_per_s;
 

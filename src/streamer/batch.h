@@ -22,7 +22,8 @@ class BatchStreamer {
                 size_t num_levels);
 
   // Streams chunk round 0 of every request, then round 1, etc. GPU share is
-  // 1/batch-size while more than one request is active.
+  // 1/batch-size while more than one request is active. Synchronous: `link`
+  // must complete sends inline (a private Link or a ThrottledLink over one).
   BatchResult Stream(const std::vector<ContextPlan>& plans, Link& link,
                      std::optional<double> throughput_hint_gbps = std::nullopt) const;
 

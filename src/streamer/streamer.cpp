@@ -24,11 +24,11 @@ KVStreamer::KVStreamer(const CostModel& cost, const ModelConfig& model,
       adapter_(cost_, model_, slo_s, num_levels),
       num_levels_(num_levels) {}
 
-StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
-                                double gpu_share,
-                                std::optional<double> throughput_hint_gbps,
-                                StreamMode mode, size_t kv_chunk_limit,
-                                const StreamHooks* hooks) const {
+Task<StreamResult> KVStreamer::Stream(const ContextPlan& plan, Link& link,
+                                      double gpu_share,
+                                      std::optional<double> throughput_hint_gbps,
+                                      StreamMode mode, size_t kv_chunk_limit,
+                                      const StreamHooks* hooks) const {
   StreamResult result;
   const double t0 = link.now();
   double gpu_free_s = t0;
@@ -97,7 +97,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
       gpu_seconds = cost_.DecodeSeconds(decoded_bytes, pricing_share);
     }
 
-    const TransferRecord rec = link.Send(tx_bytes);
+    const TransferRecord rec = co_await link.Send(tx_bytes);
     step.tx_start_s = rec.start_s;
     step.tx_end_s = rec.end_s;
     step.bytes = tx_bytes;
@@ -124,7 +124,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
                      step.gpu_done_s);
     }
 
-    // Per-chunk lifecycle on the serving thread's request track: the
+    // Per-chunk lifecycle on the request's track: the
     // transfer, then the GPU stage (prefill for text chunks, bitstream
     // decode for KV chunks) that may lag it while the GPU drains peers.
     CG_TRACE_VSPAN("streamer", config.text ? "chunk_tx_text" : "chunk_tx",
@@ -200,7 +200,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
           step.aborted = true;
           break;
         }
-        const TransferRecord rec = link.Send(seg_bytes);
+        const TransferRecord rec = co_await link.Send(seg_bytes);
         step.tx_end_s = rec.end_s;
         sent += seg_bytes;
         measured_bytes_per_s = rec.Seconds() > 0.0 ? seg_bytes / rec.Seconds()
@@ -257,7 +257,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
 
   // ---- lane resolution: back-fill per-event-priced GPU completions -------
   if (lane && !lane_items.empty()) {
-    const std::vector<double> done = hooks->drain_gpu();
+    const std::vector<double> done = co_await hooks->drain_gpu();
     const size_t n = std::min(done.size(), lane_items.size());
     [[maybe_unused]] const uint64_t track = obs::ScopedRequestId::Current();
     double prev_done = t0;
@@ -289,7 +289,7 @@ StreamResult KVStreamer::Stream(const ContextPlan& plan, Link& link,
     result.enhanced_token_fraction = enhanced_tokens / total_tokens;
     result.base_token_fraction = (kv_tokens - enhanced_tokens) / total_tokens;
   }
-  return result;
+  co_return result;
 }
 
 }  // namespace cachegen

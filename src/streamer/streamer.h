@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/task.h"
 #include "llm/cost_model.h"
 #include "llm/model_config.h"
 #include "net/link.h"
@@ -66,11 +67,12 @@ struct StreamHooks {
   // rate 1 (per-call overhead), `shared_s` at the share in effect while it
   // drains — instead of being priced analytically at the frozen `gpu_share`
   // argument (which then only seeds the adapter's decision heuristics).
-  // `drain_gpu` parks until the lane is empty and returns the completion
-  // instant of every posted item in post order; the streamer back-fills
-  // per-step gpu_done_s, load_finish and the GPU lifecycle spans from it.
+  // `drain_gpu` suspends the stream until the lane is empty and yields the
+  // completion instant of every posted item in post order; the streamer
+  // back-fills per-step gpu_done_s, load_finish and the GPU lifecycle spans
+  // from it.
   std::function<void(double arrival_s, double const_s, double shared_s)> post_gpu;
-  std::function<std::vector<double>()> drain_gpu;
+  std::function<Task<std::vector<double>>()> drain_gpu;
   // Fired after each transfer completes (base chunks and enhancement
   // segments alike) — the event-loop FSM advances on these.
   std::function<void(const StreamStep& step)> on_transfer;
@@ -101,11 +103,18 @@ class KVStreamer {
   // the limit are NOT cached and must ship as text + tail re-prefill, while
   // chunks below it stream under the adaptive policy. The default (no limit)
   // leaves every chunk adaptive; 0 is equivalent to kForceText.
-  StreamResult Stream(const ContextPlan& plan, Link& link, double gpu_share = 1.0,
-                      std::optional<double> throughput_hint_gbps = std::nullopt,
-                      StreamMode mode = StreamMode::kAdaptive,
-                      size_t kv_chunk_limit = SIZE_MAX,
-                      const StreamHooks* hooks = nullptr) const;
+  //
+  // A coroutine: every link send and GPU drain is a co_await point. Over a
+  // private Link everything completes inline, so `Stream(...).Get()` is the
+  // plain synchronous call; over a cluster ClientLink the stream suspends
+  // while the shared path simulates its transfers. `plan`, `link` and
+  // `hooks` must outlive the returned task.
+  Task<StreamResult> Stream(const ContextPlan& plan, Link& link,
+                            double gpu_share = 1.0,
+                            std::optional<double> throughput_hint_gbps = std::nullopt,
+                            StreamMode mode = StreamMode::kAdaptive,
+                            size_t kv_chunk_limit = SIZE_MAX,
+                            const StreamHooks* hooks = nullptr) const;
 
   const Adapter& adapter() const { return adapter_; }
 

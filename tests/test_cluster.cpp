@@ -3,10 +3,10 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -17,6 +17,7 @@
 #include "cluster/scheduler.h"
 #include "cluster/shared_link.h"
 #include "codec/encoding_level.h"
+#include "common/task.h"
 #include "net/bandwidth_trace.h"
 #include "net/link.h"
 #include "obs/metrics.h"
@@ -34,15 +35,35 @@ namespace fs = std::filesystem;
 // SharedLink: the fluid fair-share arbiter in isolation.
 // ---------------------------------------------------------------------------
 
+// Drives the link the way ClusterServer's coordinator does: resume whatever
+// is ready, otherwise advance virtual time (never past `limit_s`), until
+// nothing can move.
+void RunLink(SharedLink& link,
+             double limit_s = std::numeric_limits<double>::infinity()) {
+  while (link.ResumeReady() || link.Advance(limit_s)) {
+  }
+}
+
+// One flow's life: a single transfer, then leave the link so the flows
+// still streaming are not frozen behind it.
+Task<> SendThenLeave(SharedLink& link, SharedLink::FlowId flow, double bytes,
+                     TransferRecord* rec) {
+  *rec = co_await link.Transfer(flow, bytes);
+  link.Deregister(flow);
+}
+
 TEST(SharedLink, SingleFlowMatchesPrivateLinkTiming) {
   SharedLink link(BandwidthTrace::Constant(1.0));  // 1 Gbps
   const auto flow = link.Register(0.0);
   const double bytes = 1e9 / 8.0;  // exactly one second at 1 Gbps
-  const TransferRecord rec = link.Transfer(flow, bytes);
+  TransferRecord rec;
+  const Task<> t = SendThenLeave(link, flow, bytes, &rec);
+  RunLink(link);
+  ASSERT_TRUE(t.done());
   EXPECT_DOUBLE_EQ(rec.start_s, 0.0);
   EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
   EXPECT_NEAR(rec.ThroughputGbps(), 1.0, 1e-9);
-  link.Deregister(flow);
+  EXPECT_EQ(link.ActiveFlows(), 0u);
 }
 
 TEST(SharedLink, TwoEqualFlowsHalveEachOther) {
@@ -52,19 +73,10 @@ TEST(SharedLink, TwoEqualFlowsHalveEachOther) {
   const double bytes = 1e9 / 8.0;  // 1 s alone, 2 s when shared
 
   TransferRecord r1, r2;
-  // A finished flow must leave the barrier (Deregister) from its own thread,
-  // as ClusterServer workers do via CompleteFlow — otherwise it freezes time
-  // for the flows still streaming.
-  std::thread t1([&] {
-    r1 = link.Transfer(f1, bytes);
-    link.Deregister(f1);
-  });
-  std::thread t2([&] {
-    r2 = link.Transfer(f2, bytes);
-    link.Deregister(f2);
-  });
-  t1.join();
-  t2.join();
+  const Task<> t1 = SendThenLeave(link, f1, bytes, &r1);
+  const Task<> t2 = SendThenLeave(link, f2, bytes, &r2);
+  RunLink(link);
+  ASSERT_TRUE(t1.done() && t2.done());
   EXPECT_NEAR(r1.end_s, 2.0, 1e-6);
   EXPECT_NEAR(r2.end_s, 2.0, 1e-6);
 }
@@ -76,16 +88,10 @@ TEST(SharedLink, WeightedSharingSplitsProportionally) {
   const double bytes = 1e9 / 8.0;
 
   TransferRecord rh, rl;
-  std::thread t1([&] {
-    rh = link.Transfer(heavy, bytes);
-    link.Deregister(heavy);
-  });
-  std::thread t2([&] {
-    rl = link.Transfer(light, bytes);
-    link.Deregister(light);
-  });
-  t1.join();
-  t2.join();
+  const Task<> t1 = SendThenLeave(link, heavy, bytes, &rh);
+  const Task<> t2 = SendThenLeave(link, light, bytes, &rl);
+  RunLink(link);
+  ASSERT_TRUE(t1.done() && t2.done());
   // Heavy gets 2/3 of capacity -> finishes at 1.5 s; light then has the
   // remaining 1/3 spent for 1.5 s (0.5 of its second) and finishes the rest
   // at full capacity: 1.5 + 0.5 = 2.0 s.
@@ -100,16 +106,10 @@ TEST(SharedLink, LateFlowOnlySharesWhileActive) {
   const double bytes = 2e9 / 8.0;        // 2 s alone
 
   TransferRecord re, rl;
-  std::thread t1([&] {
-    re = link.Transfer(early, bytes);
-    link.Deregister(early);
-  });
-  std::thread t2([&] {
-    rl = link.Transfer(late, bytes);
-    link.Deregister(late);
-  });
-  t1.join();
-  t2.join();
+  const Task<> t1 = SendThenLeave(link, early, bytes, &re);
+  const Task<> t2 = SendThenLeave(link, late, bytes, &rl);
+  RunLink(link);
+  ASSERT_TRUE(t1.done() && t2.done());
   // Early runs alone for 1 s (half done), then shares: remaining 1 s of work
   // at half rate = 2 s more -> ends at 3 s. Late: from t=1 at half rate
   // until 3 s (1 s of work done), then alone for its last second -> 4 s.
@@ -117,19 +117,36 @@ TEST(SharedLink, LateFlowOnlySharesWhileActive) {
   EXPECT_NEAR(rl.end_s, 4.0, 1e-6);
 }
 
-TEST(SharedLink, HoldCapsVirtualTimeUntilReleased) {
+TEST(SharedLink, AdvanceLimitCapsVirtualTime) {
   SharedLink link(BandwidthTrace::Constant(1.0));
-  const auto hold = link.HoldAt(0.5);
   const auto flow = link.Register(0.0);
   TransferRecord rec;
-  std::thread t([&] { rec = link.Transfer(flow, 1e9 / 8.0); });
-  // Give the transfer a moment: it must park at the hold, not complete.
-  while (link.now() < 0.5 - 1e-9) std::this_thread::yield();
+  const Task<> t = SendThenLeave(link, flow, 1e9 / 8.0, &rec);
+  // The transfer needs until 1.0 s; the limit stops time at 0.5 s with the
+  // transfer still in flight.
+  RunLink(link, 0.5);
   EXPECT_NEAR(link.now(), 0.5, 1e-9);
-  link.ReleaseHold(hold);
-  t.join();
+  EXPECT_FALSE(t.done());
+  RunLink(link);
+  ASSERT_TRUE(t.done());
   EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
-  link.Deregister(flow);
+}
+
+// Time is frozen while any registered flow has yet to await an operation:
+// the coroutine that owns it may still post a transfer at the current
+// instant.
+TEST(SharedLink, FlowWithoutPendingOperationFreezesTime) {
+  SharedLink link(BandwidthTrace::Constant(1.0));
+  const auto busy = link.Register(0.0);
+  const auto idle = link.Register(0.0);
+  TransferRecord rec;
+  const Task<> t = SendThenLeave(link, busy, 1e9 / 8.0, &rec);
+  EXPECT_FALSE(link.Advance());
+  EXPECT_DOUBLE_EQ(link.now(), 0.0);
+  link.Deregister(idle);
+  RunLink(link);
+  ASSERT_TRUE(t.done());
+  EXPECT_NEAR(rec.end_s, 1.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,6 +274,47 @@ TEST(ClusterServer, ServesWholeTraceDeterministically) {
     EXPECT_DOUBLE_EQ(a[i].ttft_s, b[i].ttft_s);
     EXPECT_DOUBLE_EQ(a[i].finish_s, b[i].finish_s);
     EXPECT_EQ(a[i].worker, b[i].worker);
+  }
+}
+
+// N=1 oracle: a lone, uncontended request served by the cluster follows the
+// timeline of KVStreamer::Stream over a private Link of the same capacity —
+// same plan, SLO budget, throughput hint and GPU share 1 — even though the
+// cluster prices its transfers through the fluid SharedLink and its GPU
+// stages through a lane.
+TEST(ClusterServer, UncontendedRequestMatchesStandaloneStream) {
+  ClusterFixture& fx = WarmFixture();
+  constexpr double kGbps = 2.0;
+  std::vector<ClusterRequest> trace;
+  for (size_t i = 0; i < fx.trace_opts.num_contexts; ++i) {
+    ClusterRequest rq;
+    rq.id = i;
+    rq.arrival_s = 100.0 * static_cast<double>(i);  // far apart: each runs alone
+    rq.context_id = PoolContextId(i);
+    rq.spec = PoolContextSpec(fx.trace_opts, i);
+    rq.slo_s = fx.trace_opts.slo_s;
+    trace.push_back(std::move(rq));
+  }
+  ClusterServer::Options copts;
+  copts.num_workers = 2;
+  copts.write_back_on_miss = false;
+  ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(kGbps), copts);
+  const auto outcomes = server.Serve(trace);
+  ASSERT_EQ(outcomes.size(), trace.size());
+
+  for (const RequestOutcome& o : outcomes) {
+    ASSERT_TRUE(o.cache_hit);
+    EXPECT_DOUBLE_EQ(o.queue_delay_s, 0.0);
+    const ContextPlan plan = fx.engine->PlanFromCalibration(o.request.spec.num_tokens);
+    const KVStreamer streamer(fx.engine->cost(), fx.engine->model(),
+                              o.request.slo_s, DefaultEncodingLevels().size());
+    Link link(BandwidthTrace::Constant(kGbps));
+    const StreamResult sr =
+        streamer.Stream(plan, link, /*gpu_share=*/1.0, /*hint=*/kGbps).Get();
+    EXPECT_NEAR(o.ttft_s, sr.ttft_s, 1e-9) << "request " << o.request.id;
+    EXPECT_NEAR(o.load_finish_s, sr.load_finish_s, 1e-9) << "request " << o.request.id;
+    EXPECT_EQ(o.bytes_sent, sr.bytes_sent) << "request " << o.request.id;
+    EXPECT_EQ(o.quality, sr.quality) << "request " << o.request.id;
   }
 }
 
@@ -541,7 +599,7 @@ TEST(KVStreamer, KvAndTextChunkCountersMatchSteps) {
                             /*slo_s=*/3.0, DefaultEncodingLevels().size());
   const uint64_t kv_before = CounterValue("streamer.chunks_kv");
   const uint64_t text_before = CounterValue("streamer.chunks_text");
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
   uint64_t kv = 0, text = 0;
   for (const auto& step : r.steps) ++(step.config.text ? text : kv);
   ASSERT_GT(kv, 0u);

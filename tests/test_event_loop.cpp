@@ -1,7 +1,7 @@
 // The event-driven serving core: RequestFsm legality, per-event GPU-share
-// accounting in SharedLink, and the fixed worker pool's guarantees (no
-// per-request threads, deterministic outcomes independent of run count and
-// of the codec thread-pool size).
+// accounting in SharedLink, and the single-threaded coordinator's guarantees
+// (no threads spawned to serve, deterministic outcomes independent of run
+// count and of the codec thread-pool size).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -22,6 +23,8 @@
 #include "cluster/cluster_server.h"
 #include "cluster/request_fsm.h"
 #include "cluster/shared_link.h"
+#include "common/task.h"
+#include "common/thread_pool.h"
 #include "net/bandwidth_trace.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
@@ -117,6 +120,19 @@ TEST(RequestFsm, FeedWalksBothPathsThrowsOnIllegalAndClampsMonotone) {
 // SharedLink GPU lanes: per-event share accounting.
 // ---------------------------------------------------------------------------
 
+// Drives the link the way ClusterServer's coordinator does: resume whatever
+// is ready, otherwise advance virtual time (never past `limit_s`), until
+// nothing can move.
+void RunLink(SharedLink& link,
+             double limit_s = std::numeric_limits<double>::infinity()) {
+  while (link.ResumeReady() || link.Advance(limit_s)) {
+  }
+}
+
+Task<> Drain(SharedLink& link, SharedLink::FlowId flow, std::vector<double>* done) {
+  *done = co_await link.DrainGpu(flow);
+}
+
 // The ROADMAP scenario: a peer finishing early must raise every survivor's
 // GPU share AT THAT INSTANT, not at the survivor's next admission. Two
 // requests contend for 2 GPU slots; the peer frees at t=1 while the survivor
@@ -127,15 +143,13 @@ TEST(RequestFsm, FeedWalksBothPathsThrowsOnIllegalAndClampsMonotone) {
 TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
   SharedLink link(BandwidthTrace::Constant(1.0));
   link.SetGpuSlots(2);
-  const auto h1 = link.HoldAdmission(0.0);
-  const auto h2 = link.HoldAdmission(0.0);
+  link.AddGpuSharer(0.0);
+  link.AddGpuSharer(0.0);
   const auto f1 = link.Register(0.0);
-  link.ReleaseHold(h1);
   const auto f2 = link.Register(0.0);
-  link.ReleaseHold(h2);
-  // Peer finishes at t=1: its -1 lands in the ledger atomically with a hold
-  // at 1.0, so no lane segment past 1.0 is priced without it.
-  link.CompleteFlow(f2, 1.0, /*payload=*/42);
+  // Peer finishes at t=1: its -1 lands in the ledger at 1.0, before any
+  // lane segment past 1.0 is priced.
+  EXPECT_DOUBLE_EQ(link.CompleteFlow(f2, 1.0), 1.0);
 
   // Ledger introspection before any folding: share is 1/2 while both are in
   // flight and 1 after the peer frees.
@@ -144,21 +158,19 @@ TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
 
   link.PostGpuWork(f1, /*arrival_s=*/0.0, /*const_s=*/0.0, /*shared_s=*/2.0);
   std::vector<double> done;
-  std::thread drainer([&] { done = link.DrainGpu(f1); });
-
-  const auto c = link.PopCompletion(/*in_flight=*/1);
-  EXPECT_NEAR(c.free_s, 1.0, 1e-12);
-  EXPECT_EQ(c.payload, 42u);
-  link.ReleaseHold(c.hold);
-  drainer.join();
+  const Task<> t = Drain(link, f1, &done);
+  // The coordinator holds time at the peer's free instant until it has
+  // handed the peer's worker back; the drain is still in progress there.
+  RunLink(link, 1.0);
+  EXPECT_NEAR(link.now(), 1.0, 1e-12);
+  EXPECT_FALSE(t.done());
+  RunLink(link);
+  ASSERT_TRUE(t.done());
 
   ASSERT_EQ(done.size(), 1u);
   EXPECT_NEAR(done[0], 2.5, 1e-9);
-
-  link.CompleteFlow(f1, done[0], 43);
-  const auto c2 = link.PopCompletion(1);
-  EXPECT_EQ(c2.payload, 43u);
-  link.ReleaseHold(c2.hold);
+  link.CompleteFlow(f1, done[0]);
+  EXPECT_EQ(link.ActiveFlows(), 0u);
 }
 
 // The mirror image: an admission mid-item LOWERS the share from its instant.
@@ -168,28 +180,22 @@ TEST(SharedLinkGpu, PeerCompletionRaisesShareAtThatInstant) {
 TEST(SharedLinkGpu, AdmissionMidItemLowersShareFromItsInstant) {
   SharedLink link(BandwidthTrace::Constant(1.0));
   link.SetGpuSlots(4);
-  const auto h1 = link.HoldAdmission(0.0);
+  link.AddGpuSharer(0.0);
   const auto f1 = link.Register(0.0);
-  link.ReleaseHold(h1);
-  const auto h2 = link.HoldAdmission(1.0);  // the future peer's +1
+  link.AddGpuSharer(1.0);  // the future peer's +1
 
   EXPECT_DOUBLE_EQ(link.GpuShareAt(0.5), 1.0);
   EXPECT_DOUBLE_EQ(link.GpuShareAt(1.5), 0.5);
 
   link.PostGpuWork(f1, 0.0, 0.0, 3.0);
   std::vector<double> done;
-  std::thread drainer([&] { done = link.DrainGpu(f1); });
-  // The drain parks at the admission hold; release it once reached (the
-  // cluster coordinator does this after handing the admission to a worker).
-  while (link.now() < 1.0 - 1e-9) std::this_thread::yield();
-  link.ReleaseHold(h2);
-  drainer.join();
+  const Task<> t = Drain(link, f1, &done);
+  RunLink(link);
+  ASSERT_TRUE(t.done());
 
   ASSERT_EQ(done.size(), 1u);
   EXPECT_NEAR(done[0], 5.0, 1e-9);
-
-  link.CompleteFlow(f1, done[0], 1);
-  link.ReleaseHold(link.PopCompletion(1).hold);
+  link.CompleteFlow(f1, done[0]);
 }
 
 // Lane mechanics: the constant part (decode-call overhead) drains at rate 1
@@ -198,14 +204,12 @@ TEST(SharedLinkGpu, AdmissionMidItemLowersShareFromItsInstant) {
 TEST(SharedLinkGpu, LaneIsFifoWithUnscaledConstPart) {
   SharedLink link(BandwidthTrace::Constant(1.0));
   link.SetGpuSlots(2);
-  const auto h1 = link.HoldAdmission(0.0);
-  const auto h2 = link.HoldAdmission(0.0);
+  link.AddGpuSharer(0.0);
+  link.AddGpuSharer(0.0);
   const auto f1 = link.Register(0.0);
-  link.ReleaseHold(h1);
   const auto f2 = link.Register(0.0);
-  link.ReleaseHold(h2);
   // Keep the peer in flight (share 1/2) through the whole window.
-  link.CompleteFlow(f2, 10.0, 7);
+  link.CompleteFlow(f2, 10.0);
 
   // Item A: arrives at 0.5, const 0.25 (rate 1) + shared 1.0 (rate 1/2)
   // -> runs [0.5, 0.5 + 0.25 + 2.0] = done at 2.75.
@@ -214,16 +218,14 @@ TEST(SharedLinkGpu, LaneIsFifoWithUnscaledConstPart) {
   link.PostGpuWork(f1, 0.5, 0.25, 1.0);
   link.PostGpuWork(f1, 1.0, 0.0, 0.5);
   std::vector<double> done;
-  std::thread drainer([&] { done = link.DrainGpu(f1); });
-  drainer.join();
+  const Task<> t = Drain(link, f1, &done);
+  RunLink(link, 10.0);
+  ASSERT_TRUE(t.done());
 
   ASSERT_EQ(done.size(), 2u);
   EXPECT_NEAR(done[0], 2.75, 1e-9);
   EXPECT_NEAR(done[1], 3.75, 1e-9);
-
-  link.CompleteFlow(f1, done[1], 8);
-  link.ReleaseHold(link.PopCompletion(2).hold);
-  link.ReleaseHold(link.PopCompletion(1).hold);
+  link.CompleteFlow(f1, done[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,14 +268,12 @@ EventLoopFixture& WarmFixture() {
 }
 
 std::vector<RequestOutcome> RunEventLoad(EventLoopFixture& fx, double rate_hz,
-                                         size_t num_requests, size_t workers,
-                                         ClusterServer::ServeMode mode) {
+                                         size_t num_requests, size_t workers) {
   RequestTraceOptions topts = fx.trace_opts;
   topts.num_requests = num_requests;
   topts.arrival_rate_hz = rate_hz;
   ClusterServer::Options copts;
   copts.num_workers = workers;
-  copts.serve_mode = mode;
   copts.write_back_on_miss = false;  // keep virtual-only (everything hits)
   copts.assemble_kv = false;
   ClusterServer server(*fx.engine, fx.store, BandwidthTrace::Constant(2.0),
@@ -292,16 +292,19 @@ int CurrentThreadCount() {
   return -1;
 }
 
-// The tentpole's structural guarantee: serving N requests spawns at most
-// num_workers pool threads, never a thread per request.
+// The serving core's structural guarantee: serving N requests on W workers
+// spawns no thread at all.
 TEST(EventLoop, NoPerRequestThreads) {
   EventLoopFixture& fx = WarmFixture();
   constexpr size_t kRequests = 200;
   constexpr size_t kWorkers = 4;
 
   // One throwaway serve so every lazy singleton (calibration, codec thread
-  // pool, metrics) exists before the baseline count is taken.
-  RunEventLoad(fx, 8.0, 8, kWorkers, ClusterServer::ServeMode::kEventLoop);
+  // pool, metrics) exists before the baseline count is taken: the baseline
+  // is then the coordinator (this thread), the codec pool and whatever the
+  // runtime itself runs.
+  RunEventLoad(fx, 8.0, 8, kWorkers);
+  ThreadPool::Instance();
 
   const int baseline = CurrentThreadCount();
   ASSERT_GT(baseline, 0);
@@ -317,28 +320,29 @@ TEST(EventLoop, NoPerRequestThreads) {
       std::this_thread::yield();
     }
   });
-  const auto outcomes = RunEventLoad(fx, 64.0, kRequests, kWorkers,
-                                     ClusterServer::ServeMode::kEventLoop);
+  const auto outcomes = RunEventLoad(fx, 64.0, kRequests, kWorkers);
   stop.store(true);
   sampler.join();
 
   ASSERT_EQ(outcomes.size(), kRequests);
-  // Baseline already includes the sampler; serving adds at most the fixed
-  // pool. With one thread per request this would exceed the bound by ~50x.
-  EXPECT_LE(peak.load(), baseline + 1 + static_cast<int>(kWorkers));
+  // Serve() runs every request on the calling thread; the only other
+  // threads it may use are the codec pool's, already counted in the
+  // baseline. The sampler adds one. A thread per worker, let alone per
+  // request, would exceed the bound.
+  EXPECT_LE(peak.load(), baseline + 1);
 }
 
 TEST(EventLoop, DeterministicAcrossRuns) {
   EventLoopFixture& fx = WarmFixture();
   const auto a =
-      RunEventLoad(fx, 4.0, 24, 4, ClusterServer::ServeMode::kEventLoop);
+      RunEventLoad(fx, 4.0, 24, 4);
   const auto b =
-      RunEventLoad(fx, 4.0, 24, 4, ClusterServer::ServeMode::kEventLoop);
+      RunEventLoad(fx, 4.0, 24, 4);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].request.id, b[i].request.id);
     // Bit-identical, not just close: virtual time is independent of OS
-    // thread scheduling even with the fixed pool + continuation queue.
+    // thread scheduling.
     EXPECT_DOUBLE_EQ(a[i].ttft_s, b[i].ttft_s);
     EXPECT_DOUBLE_EQ(a[i].finish_s, b[i].finish_s);
     EXPECT_DOUBLE_EQ(a[i].quality, b[i].quality);
@@ -402,9 +406,9 @@ std::string RunProbeWithThreads(const char* threads) {
 // sizes and compares the probe's summary bit-for-bit.
 TEST(EventLoop, DeterministicAcrossCodecPoolSizes) {
   const std::string one = RunProbeWithThreads("1");
-  const std::string many = RunProbeWithThreads("8");
+  const std::string many = RunProbeWithThreads("4");
   ASSERT_FALSE(one.empty()) << "probe run with CACHEGEN_THREADS=1 failed";
-  ASSERT_FALSE(many.empty()) << "probe run with CACHEGEN_THREADS=8 failed";
+  ASSERT_FALSE(many.empty()) << "probe run with CACHEGEN_THREADS=4 failed";
   EXPECT_EQ(one, many);
 }
 

@@ -37,7 +37,7 @@ TEST(Integration, StoreStreamAssembleGenerate) {
   Link link(BandwidthTrace::Constant(3.0));
   const KVStreamer streamer(engine.cost(), engine.model(), /*slo_s=*/1.0,
                             DefaultEncodingLevels().size());
-  const StreamResult sr = streamer.Stream(plan, link);
+  const StreamResult sr = streamer.Stream(plan, link).Get();
   ASSERT_EQ(sr.steps.size(), plan.chunks.size());
 
   // Materialize exactly what the streamer decided, then reassemble.
@@ -69,7 +69,7 @@ TEST(Integration, AdaptationUnderFig7Trace) {
   Link link(BandwidthTrace::FromSegments({{0.0, 1.0}, {0.3, 0.08}, {1.5, 0.5}}));
   const KVStreamer streamer(engine.cost(), engine.model(), /*slo_s=*/2.5,
                             DefaultEncodingLevels().size());
-  const StreamResult sr = streamer.Stream(plan, link);
+  const StreamResult sr = streamer.Stream(plan, link).Get();
   EXPECT_FALSE(sr.slo_violated) << sr.load_finish_s;
   EXPECT_LE(sr.quality, 1.0);
 }

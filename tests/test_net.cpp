@@ -74,26 +74,26 @@ TEST(BandwidthTrace, Validation) {
 
 TEST(Link, SequentialTransfersAdvanceClock) {
   Link link(BandwidthTrace::Constant(8.0));  // 1 GB/s
-  const TransferRecord r1 = link.Send(5e8);
+  const TransferRecord r1 = link.Send(5e8).Get();
   EXPECT_DOUBLE_EQ(r1.start_s, 0.0);
   EXPECT_NEAR(r1.end_s, 0.5, 1e-9);
-  const TransferRecord r2 = link.Send(5e8);
+  const TransferRecord r2 = link.Send(5e8).Get();
   EXPECT_NEAR(r2.start_s, 0.5, 1e-9);
   EXPECT_NEAR(link.now(), 1.0, 1e-9);
 }
 
 TEST(Link, ThroughputObserved) {
   Link link(BandwidthTrace::Constant(3.0));
-  const TransferRecord r = link.Send(3e9 / 8.0);  // one second's worth
+  const TransferRecord r = link.Send(3e9 / 8.0).Get();  // one second's worth
   EXPECT_NEAR(r.ThroughputGbps(), 3.0, 1e-9);
   EXPECT_NEAR(r.Seconds(), 1.0, 1e-9);
 }
 
 TEST(Link, AdvanceToNeverRewinds) {
   Link link(BandwidthTrace::Constant(1.0), 2.0);
-  link.AdvanceTo(5.0);
+  link.AdvanceTo(5.0).Get();
   EXPECT_DOUBLE_EQ(link.now(), 5.0);
-  link.AdvanceTo(1.0);
+  link.AdvanceTo(1.0).Get();
   EXPECT_DOUBLE_EQ(link.now(), 5.0);
 }
 
@@ -101,7 +101,7 @@ TEST(Link, SendAcrossBandwidthDrop) {
   Link link(BandwidthTrace::Figure7());
   // 0.6 GB: 0.5 GB in the first 2 s at 2 Gbps, 0.05 GB in the 0.2 Gbps dip
   // (2 s), then the last 0.05 GB at the recovered 1 Gbps in 0.4 s.
-  const TransferRecord r = link.Send(6e8);
+  const TransferRecord r = link.Send(6e8).Get();
   EXPECT_NEAR(r.end_s, 4.4, 1e-6);
 }
 

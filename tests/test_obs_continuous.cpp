@@ -447,9 +447,12 @@ TEST(FlightRecorderTest, CapturesCompleteAllowedTracksAroundTheWindow) {
   EXPECT_EQ(json.find("wall_marker"), std::string::npos);
   EXPECT_EQ(json.find("\"WARN\""), std::string::npos);
 
-  // Same tracer state, same trigger: byte-identical artifact.
+  // Same tracer state, same trigger: byte-identical artifact. Copy the
+  // first one: the second capture may reallocate incidents(), leaving `inc`
+  // dangling.
+  const std::string first = inc.trace_json;
   ASSERT_TRUE(rec.Capture(5, 10.0, "page", allowed));
-  EXPECT_EQ(rec.incidents()[1].trace_json, inc.trace_json);
+  EXPECT_EQ(rec.incidents()[1].trace_json, first);
 }
 
 TEST(FlightRecorderTest, IncidentCapIsEnforcedAndCounted) {

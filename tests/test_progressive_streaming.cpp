@@ -125,10 +125,10 @@ TEST(ProgressiveStreamer, BasePassMatchesAdaptiveAndEnhancesWithSlack) {
   const KVStreamer streamer(cost, m, /*slo_s=*/0.8, 4);
 
   Link la(trace);
-  const StreamResult adaptive = streamer.Stream(plan, la);
+  const StreamResult adaptive = streamer.Stream(plan, la).Get();
   Link lp(trace);
   const StreamResult progressive =
-      streamer.Stream(plan, lp, 1.0, std::nullopt, StreamMode::kProgressive);
+      streamer.Stream(plan, lp, 1.0, std::nullopt, StreamMode::kProgressive).Get();
 
   // The base pass makes identical decisions on an identical timeline, so the
   // met-SLO outcome can never differ from non-layered adaptive streaming.
@@ -168,7 +168,7 @@ TEST(ProgressiveStreamer, EnhancementsStayWithinSloBudget) {
   const KVStreamer streamer(cost, m, /*slo_s=*/0.8, 4);
   Link link(BandwidthTrace::Constant(20.0));
   const StreamResult r =
-      streamer.Stream(plan, link, 1.0, std::nullopt, StreamMode::kProgressive);
+      streamer.Stream(plan, link, 1.0, std::nullopt, StreamMode::kProgressive).Get();
   ASSERT_GT(r.enhancements_sent, 0u);
   for (const StreamStep& step : r.steps) {
     if (step.enhancement && !step.aborted) {
@@ -193,7 +193,7 @@ TEST(ProgressiveStreamer, BaseOnlyUnderBandwidthCliffBeatsFixedLevel) {
   Link link(trace);
   const KVStreamer streamer(cost, m, slo, 4);
   const StreamResult r = streamer.Stream(plan, link, gpu_share, /*hint=*/0.3,
-                                         StreamMode::kProgressive);
+                                         StreamMode::kProgressive).Get();
   EXPECT_FALSE(r.slo_violated) << "finish=" << r.load_finish_s;
   EXPECT_EQ(r.enhancements_sent, 0u);  // no slack: graceful base-only delivery
   EXPECT_DOUBLE_EQ(r.quality, r.base_quality);
@@ -224,7 +224,7 @@ TEST(ProgressiveStreamer, AbortOnCollapseLeavesEveryChunkUsable) {
   const KVStreamer streamer(cost, m, /*slo_s=*/1.0, 4);
   Link link(trace);
   const StreamResult r =
-      streamer.Stream(plan, link, 1.0, std::nullopt, StreamMode::kProgressive);
+      streamer.Stream(plan, link, 1.0, std::nullopt, StreamMode::kProgressive).Get();
 
   EXPECT_FALSE(r.slo_violated);  // base pass finished well before the cliff
   EXPECT_GE(r.enhancements_aborted, 1u);
@@ -256,7 +256,7 @@ TEST(ProgressiveStreamer, FallsBackToAdaptiveWithoutLayeredPlan) {
   const KVStreamer streamer(cost, m, /*slo_s=*/1.0, 4);
   Link link(BandwidthTrace::Constant(10.0));
   const StreamResult r =
-      streamer.Stream(plan, link, 1.0, std::nullopt, StreamMode::kProgressive);
+      streamer.Stream(plan, link, 1.0, std::nullopt, StreamMode::kProgressive).Get();
   EXPECT_EQ(r.steps.size(), plan.chunks.size());
   EXPECT_EQ(r.enhancements_sent, 0u);
   EXPECT_DOUBLE_EQ(r.quality, r.base_quality);

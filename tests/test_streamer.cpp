@@ -121,7 +121,7 @@ TEST(Streamer, AllChunksDelivered) {
   const ContextPlan plan = MakePlan(5);
   Link link(BandwidthTrace::Constant(10.0));
   const KVStreamer streamer(cost, m, /*slo_s=*/2.0, 4);
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
   EXPECT_EQ(r.steps.size(), 5u);
   EXPECT_GT(r.load_finish_s, 0.0);
   EXPECT_GT(r.bytes_sent, 0.0);
@@ -134,7 +134,7 @@ TEST(Streamer, MeetsSloUnderStableBandwidth) {
   const ContextPlan plan = MakePlan(6);  // 9000 tokens
   Link link(BandwidthTrace::Constant(3.0));
   const KVStreamer streamer(cost, m, /*slo_s=*/1.2, 4);
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
   EXPECT_FALSE(r.slo_violated) << "finish=" << r.load_finish_s;
 }
 
@@ -148,7 +148,7 @@ TEST(Streamer, AdaptsDownOnBandwidthDrop) {
   {
     Link link(trace);
     const KVStreamer streamer(cost, m, /*slo_s=*/3.0, 4);
-    const StreamResult r = streamer.Stream(plan, link);
+    const StreamResult r = streamer.Stream(plan, link).Get();
     bool degraded = false;
     for (const auto& step : r.steps) {
       degraded |= step.config.text || step.config.level_id > 1;
@@ -174,7 +174,7 @@ TEST(Streamer, ThroughputHintUsedForFirstChunk) {
   Link link(BandwidthTrace::Constant(50.0));
   const KVStreamer streamer(cost, m, /*slo_s=*/0.5, 4);
   // With a (correct) 50 Gbps hint, even the first chunk can use level 0.
-  const StreamResult r = streamer.Stream(plan, link, 1.0, 50.0);
+  const StreamResult r = streamer.Stream(plan, link, 1.0, 50.0).Get();
   EXPECT_EQ(r.steps[0].config.level_id, 0);
   EXPECT_FALSE(r.steps[0].config.text);
 }
@@ -186,8 +186,8 @@ TEST(Streamer, QualityReflectsChosenLevels) {
   Link fast(BandwidthTrace::Constant(100.0));
   Link slow(BandwidthTrace::Constant(1.2));
   const KVStreamer streamer(cost, m, /*slo_s=*/1.0, 4);
-  const double q_fast = streamer.Stream(plan, fast).quality;
-  const double q_slow = streamer.Stream(plan, slow).quality;
+  const double q_fast = streamer.Stream(plan, fast).Get().quality;
+  const double q_slow = streamer.Stream(plan, slow).Get().quality;
   EXPECT_GE(q_fast, q_slow);
 }
 

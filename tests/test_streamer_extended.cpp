@@ -38,7 +38,7 @@ TEST_P(RandomTraceStreamer, InvariantsHoldOnRandomTraces) {
   const auto trace = BandwidthTrace::Random(GetParam(), 0.1, 10.0, 0.3, 120.0);
   Link link(trace);
   const KVStreamer streamer(cost, m, /*slo_s=*/1.0, 4);
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
 
   // Every chunk delivered exactly once, in order, with consistent timing.
   ASSERT_EQ(r.steps.size(), plan.chunks.size());
@@ -72,7 +72,7 @@ TEST_P(ChunkLengthSweep, AllChunkLengthsDeliverWithinLooseSlo) {
   const ContextPlan plan = MakePlan(9000, GetParam());
   Link link(BandwidthTrace::FromSegments({{0.0, 3.0}, {0.3, 0.5}}));
   const KVStreamer streamer(cost, m, /*slo_s=*/4.0, 4);
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
   EXPECT_FALSE(r.slo_violated) << "chunk=" << GetParam()
                                << " finish=" << r.load_finish_s;
   EXPECT_EQ(r.steps.size(), plan.chunks.size());
@@ -92,7 +92,7 @@ TEST(ChunkLengthTradeoff, ShorterChunksAdaptFasterUnderDip) {
     const ContextPlan plan = MakePlan(9000, chunk_tokens);
     Link link(trace);
     const KVStreamer streamer(cost, m, /*slo_s=*/3.0, 4);
-    return streamer.Stream(plan, link);
+    return streamer.Stream(plan, link).Get();
   };
   const StreamResult fine = finish_with(750);
   const StreamResult coarse = finish_with(4500);
@@ -127,7 +127,7 @@ TEST(SloBoundary, ExactFitIsNotViolation) {
   plan.chunks[0].bytes_per_level = {2e8, 1.25e8, 1e8, 0.5e8};
   Link link(BandwidthTrace::Constant(1.0));
   const KVStreamer streamer(cost, m, /*slo_s=*/1.2, 4);
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
   EXPECT_FALSE(r.slo_violated) << r.load_finish_s;
 }
 
@@ -138,7 +138,7 @@ TEST(StreamerEdgeCases, EmptyPlan) {
   plan.total_tokens = 0;
   Link link(BandwidthTrace::Constant(1.0));
   const KVStreamer streamer(cost, m, 1.0, 4);
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
   EXPECT_TRUE(r.steps.empty());
   EXPECT_DOUBLE_EQ(r.load_finish_s, 0.0);
   EXPECT_FALSE(r.slo_violated);
@@ -150,7 +150,7 @@ TEST(StreamerEdgeCases, SingleTinyChunk) {
   const ContextPlan plan = MakePlan(50, 1500);
   Link link(BandwidthTrace::Constant(5.0));
   const KVStreamer streamer(cost, m, 1.0, 4);
-  const StreamResult r = streamer.Stream(plan, link);
+  const StreamResult r = streamer.Stream(plan, link).Get();
   ASSERT_EQ(r.steps.size(), 1u);
   EXPECT_FALSE(r.slo_violated);
 }
