@@ -123,10 +123,10 @@ double SharedLink::CompleteFlow(FlowId id, double free_s) {
   return t;
 }
 
-void SharedLink::Finish(FlowId id, Flow& f, double end_s) {
+void SharedLink::Finish(Flow& f, double end_s) {
   f.pending = Pending::kNone;
   f.end_s = end_s;
-  ready_.push_back({id, std::exchange(f.waiter, {}), f.track});
+  ready_.push_back({std::exchange(f.waiter, {}), f.track});
 }
 
 bool SharedLink::ResumeReady() {
@@ -180,23 +180,23 @@ bool SharedLink::Advance(double limit_s) {
     // Wake waiters whose instant has been reached (even at the limit).
     bool completed = false;
     double dormant_t = kInf, wake_t = kInf;
-    std::vector<std::pair<FlowId, Flow*>> active;
+    std::vector<Flow*> active;  // in FlowId order
     for (auto& [id, f] : flows_) {
       if (f.remaining > 0.0) {
         if (f.clock > now_s_ + kTimeEps) {
           dormant_t = std::min(dormant_t, f.clock);  // admitted in the future
         } else {
-          active.emplace_back(id, &f);
+          active.push_back(&f);
         }
       } else if (f.pending == Pending::kDrain) {
         if (f.lane.empty()) {
-          Finish(id, f, std::max(f.clock, now_s_));
+          Finish(f, std::max(f.clock, now_s_));
           completed = true;
         }
         // else: the wake event is the lane's last item finishing, priced in
         // the GPU scan below.
       } else if (f.wake_at <= now_s_ + kTimeEps) {
-        Finish(id, f, std::max(f.wake_at, f.t_start));
+        Finish(f, std::max(f.wake_at, f.t_start));
         completed = true;
       } else {
         wake_t = std::min(wake_t, f.wake_at);
@@ -234,13 +234,13 @@ bool SharedLink::Advance(double limit_s) {
 
     const double cap_bps = capacity_.BytesPerSecAt(now_s_);
     double weight_sum = 0.0;
-    for (const auto& [id, f] : active) weight_sum += f->weight;
+    for (const Flow* f : active) weight_sum += f->weight;
     std::vector<double> finish(active.size(), kInf);
     double min_bw_finish = kInf;
     if (cap_bps > 0.0) {
       for (size_t i = 0; i < active.size(); ++i) {
-        const double rate = cap_bps * active[i].second->weight / weight_sum;
-        finish[i] = now_s_ + active[i].second->remaining / rate;
+        const double rate = cap_bps * active[i]->weight / weight_sum;
+        finish[i] = now_s_ + active[i]->remaining / rate;
         min_bw_finish = std::min(min_bw_finish, finish[i]);
       }
     }
@@ -259,10 +259,10 @@ bool SharedLink::Advance(double limit_s) {
     const double dt = t_next - now_s_;
     if (cap_bps > 0.0) {
       for (size_t i = 0; i < active.size(); ++i) {
-        auto& [id, f] = active[i];
+        Flow* f = active[i];
         if (finish_event && finish[i] <= finish_tol) {
           f->remaining = 0.0;
-          Finish(id, *f, t_next);
+          Finish(*f, t_next);
           completed = true;
         } else {
           const double rate = cap_bps * f->weight / weight_sum;

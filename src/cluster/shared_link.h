@@ -167,13 +167,12 @@ class SharedLink {
   };
 
   struct Ready {
-    FlowId id;
     std::coroutine_handle<> h;
     uint64_t track;
   };
 
   // The pending operation finished at `end_s`: queue the flow's coroutine.
-  void Finish(FlowId id, Flow& f, double end_s);
+  void Finish(Flow& f, double end_s);
   // Results of finished operations (the awaiter's await_resume).
   TransferRecord CollectTransfer(Flow& f);
   std::vector<double> CollectDrain(Flow& f);

@@ -406,9 +406,9 @@ std::string RunProbeWithThreads(const char* threads) {
 // sizes and compares the probe's summary bit-for-bit.
 TEST(EventLoop, DeterministicAcrossCodecPoolSizes) {
   const std::string one = RunProbeWithThreads("1");
-  const std::string many = RunProbeWithThreads("4");
+  const std::string many = RunProbeWithThreads("8");
   ASSERT_FALSE(one.empty()) << "probe run with CACHEGEN_THREADS=1 failed";
-  ASSERT_FALSE(many.empty()) << "probe run with CACHEGEN_THREADS=4 failed";
+  ASSERT_FALSE(many.empty()) << "probe run with CACHEGEN_THREADS=8 failed";
   EXPECT_EQ(one, many);
 }
 
