@@ -1,10 +1,10 @@
 #include "codec/layered_encoder.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "bitstream/bit_reader.h"
 #include "bitstream/bit_writer.h"
+#include "quant/symbol_kernels.h"
 
 namespace cachegen {
 
@@ -17,19 +17,20 @@ template <typename Fn>
 void ForEachResidualSymbol(const TableSet& tables, const KVCache& chunk,
                            const KVCache& base_recon, double fine_bin_sigma,
                            Fn&& fn) {
+  const long max_sym = KVProfile::kDeltaMaxSym;
+  std::vector<double> sigma(chunk.num_channels());
   for (size_t l = 0; l < chunk.num_layers(); ++l) {
     for (int kind = 0; kind < 2; ++kind) {
       const Tensor& orig = kind == 0 ? chunk.layer(l).k : chunk.layer(l).v;
       const Tensor& base = kind == 0 ? base_recon.layer(l).k : base_recon.layer(l).v;
+      for (size_t c = 0; c < sigma.size(); ++c) sigma[c] = tables.BodySigma(l, c, kind);
       for (size_t r = 0; r < orig.rows(); ++r) {
+        const float* o = orig.Row(r).data();
+        const float* b = base.Row(r).data();
         for (size_t c = 0; c < orig.cols(); ++c) {
-          const double sigma = tables.BodySigma(l, c, kind);
-          const double resid = (orig.At(r, c) - base.At(r, c)) / sigma;
-          const long s = std::lround(resid / fine_bin_sigma);
-          const long clamped =
-              std::clamp(s, -static_cast<long>(KVProfile::kDeltaMaxSym),
-                         static_cast<long>(KVProfile::kDeltaMaxSym));
-          fn(static_cast<uint32_t>(clamped + KVProfile::kDeltaMaxSym));
+          const double resid = (o[c] - b[c]) / sigma[c];
+          const long s = ClampedLround(resid / fine_bin_sigma, max_sym);
+          fn(static_cast<uint32_t>(s + max_sym));
         }
       }
     }

@@ -4,21 +4,15 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/parallel_for.h"
 #include "common/stats.h"
+#include "quant/symbol_kernels.h"
 
 namespace cachegen {
 
 namespace {
 constexpr size_t kAnchorBins = 2 * KVProfile::kAnchorMaxSym + 1;  // 255
 constexpr size_t kBodyAlphabet = 2 * KVProfile::kDeltaMaxSym + 1;  // 129
-
-inline size_t HistBinOf(double normalized) {
-  const double pos = (normalized + KVProfile::kHistRange) /
-                     (2.0 * KVProfile::kHistRange) * KVProfile::kHistBins;
-  const long b = std::lround(std::floor(pos));
-  return static_cast<size_t>(
-      std::clamp(b, 0L, static_cast<long>(KVProfile::kHistBins - 1)));
-}
 
 inline double HistBinCenter(size_t bin) {
   return -KVProfile::kHistRange +
@@ -48,7 +42,21 @@ CodecOptions CodecOptions::FromFlags(uint8_t flags) {
 KVProfile KVProfile::Build(const ModelConfig& cfg,
                            std::span<const KVCache* const> caches,
                            size_t token_group_size) {
-  if (caches.empty()) throw std::invalid_argument("KVProfile::Build: no caches");
+  return BuildByLayer(
+      cfg,
+      [&](size_t l, const LayerVisitor& visit) {
+        std::vector<const KVLayer*> layers;
+        for (const KVCache* cache : caches) layers.push_back(&cache->layer(l));
+        visit(layers);
+      },
+      token_group_size);
+}
+
+KVProfile KVProfile::BuildByLayer(const ModelConfig& cfg, const LayerSource& source,
+                                  size_t token_group_size) {
+  if (token_group_size == 0) {
+    throw std::invalid_argument("KVProfile::Build: zero token group size");
+  }
   KVProfile p;
   p.num_layers_ = cfg.num_layers;
   p.num_channels_ = cfg.sim_channels;
@@ -57,68 +65,98 @@ KVProfile KVProfile::Build(const ModelConfig& cfg,
   p.anchor_hist_.assign(n * kAnchorBins, 0);
   p.delta_hist_.assign(n * kHistBins, 0);
   p.raw_hist_.assign(n * kHistBins, 0);
-
-  // Pass 1: scales.
-  std::vector<RunningStats> raw(n), delta(n);
-  std::vector<double> anchor_absmax(n, 0.0);
-  for (const KVCache* cache : caches) {
-    for (size_t l = 0; l < p.num_layers_; ++l) {
-      for (int kind = 0; kind < 2; ++kind) {
-        const Tensor& t = kind == 0 ? cache->layer(l).k : cache->layer(l).v;
-        for (size_t c = 0; c < p.num_channels_; ++c) {
-          const size_t idx = p.Idx(l, c, kind);
-          for (size_t r = 0; r < t.rows(); ++r) {
-            const double x = t.At(r, c);
-            raw[idx].Add(x);
-            if (IsAnchor(r, token_group_size)) {
-              anchor_absmax[idx] = std::max(anchor_absmax[idx], std::fabs(x));
-            } else {
-              delta[idx].Add(x - t.At(AnchorOf(r, token_group_size), c));
-            }
-          }
-        }
-      }
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    ChannelStats& s = p.stats_[i];
-    s.raw_mean = raw[i].Mean();
-    s.raw_std = std::max(raw[i].StdDev(), 1e-6);
-    s.delta_std = std::max(delta[i].StdDev(), 1e-6);
-    s.anchor_scale =
-        std::max(anchor_absmax[i] * 1.02, 1e-6) / static_cast<double>(kAnchorMaxSym);
-  }
-
-  // Pass 2: normalized histograms.
-  for (const KVCache* cache : caches) {
-    for (size_t l = 0; l < p.num_layers_; ++l) {
-      for (int kind = 0; kind < 2; ++kind) {
-        const Tensor& t = kind == 0 ? cache->layer(l).k : cache->layer(l).v;
-        for (size_t c = 0; c < p.num_channels_; ++c) {
-          const size_t idx = p.Idx(l, c, kind);
-          const ChannelStats& s = p.stats_[idx];
-          for (size_t r = 0; r < t.rows(); ++r) {
-            const double x = t.At(r, c);
-            ++p.raw_hist_[idx * kHistBins + HistBinOf((x - s.raw_mean) / s.raw_std)];
-            if (IsAnchor(r, token_group_size)) {
-              const long sym = std::lround(x / s.anchor_scale);
-              const long clamped = std::clamp(sym, -static_cast<long>(kAnchorMaxSym),
-                                              static_cast<long>(kAnchorMaxSym));
-              ++p.anchor_hist_[idx * kAnchorBins +
-                               static_cast<size_t>(clamped + kAnchorMaxSym)];
-            } else {
-              // Deltas are histogrammed in RAW-sigma units: the bin widths
-              // of the encoding levels are defined on the raw value scale so
-              // that delta and no-delta modes quantize with identical error.
-              const double d = x - t.At(AnchorOf(r, token_group_size), c);
-              ++p.delta_hist_[idx * kHistBins + HistBinOf(d / s.raw_std)];
-            }
-          }
-        }
-      }
-    }
-  }
+  // Each layer writes only its own stats and histogram entries.
+  ParallelFor(p.num_layers_, [&](size_t l) {
+    source(l, [&](std::span<const KVLayer* const> layers) {
+      p.BuildLayer(l, layers, token_group_size);
+    });
+  });
   return p;
+}
+
+void KVProfile::BuildLayer(size_t l, std::span<const KVLayer* const> layers,
+                           size_t token_group_size) {
+  const size_t C = num_channels_;
+  if (layers.empty()) throw std::invalid_argument("KVProfile::Build: no caches");
+  for (const KVLayer* layer : layers) {
+    if (layer->k.cols() != C || !layer->k.SameShape(layer->v)) {
+      throw std::invalid_argument("KVProfile::Build: layer shape mismatch");
+    }
+  }
+  // Both passes walk a tensor one token group at a time, row by row with
+  // the group's anchor row held, and handle a whole row of channels per
+  // step. Channel c of kind k is stats_/histogram entry Idx(l, c, k).
+  std::vector<double> absmax(C), mean(C), sigma(C), scale(C);
+  std::vector<uint32_t> bins(C);
+  for (int kind = 0; kind < 2; ++kind) {
+    // Pass 1: scales.
+    RunningStatsRow raw(C), delta(C);
+    std::fill(absmax.begin(), absmax.end(), 0.0);
+    for (const KVLayer* layer : layers) {
+      const Tensor& t = kind == 0 ? layer->k : layer->v;
+      for (size_t a = 0; a < t.rows(); a += token_group_size) {
+        const float* anchor = t.Row(a).data();
+        raw.AddRow(anchor);
+        for (size_t c = 0; c < C; ++c) {
+          absmax[c] = std::max(absmax[c], std::fabs(static_cast<double>(anchor[c])));
+        }
+        const size_t group_end = std::min(a + token_group_size, t.rows());
+        for (size_t r = a + 1; r < group_end; ++r) {
+          raw.AddRow(t.Row(r).data());
+          delta.AddRowDelta(t.Row(r).data(), anchor);
+        }
+      }
+    }
+    for (size_t c = 0; c < C; ++c) {
+      ChannelStats& s = stats_[Idx(l, c, kind)];
+      s.raw_mean = raw.Mean(c);
+      s.raw_std = std::max(raw.StdDev(c), 1e-6);
+      s.delta_std = std::max(delta.StdDev(c), 1e-6);
+      s.anchor_scale =
+          std::max(absmax[c] * 1.02, 1e-6) / static_cast<double>(kAnchorMaxSym);
+      mean[c] = s.raw_mean;
+      sigma[c] = s.raw_std;
+      scale[c] = s.anchor_scale;
+    }
+
+    // Pass 2: normalized histograms.
+    uint64_t* raw_hist = &raw_hist_[Idx(l, 0, kind) * kHistBins];
+    uint64_t* delta_hist = &delta_hist_[Idx(l, 0, kind) * kHistBins];
+    uint64_t* anchor_hist = &anchor_hist_[Idx(l, 0, kind) * kAnchorBins];
+    const auto count = [&](uint64_t* hist, size_t bins_per_channel) {
+      for (size_t c = 0; c < C; ++c) ++hist[2 * c * bins_per_channel + bins[c]];
+    };
+    const auto count_raw = [&](const float* x) {
+      for (size_t c = 0; c < C; ++c) {
+        bins[c] = HistBinOf((static_cast<double>(x[c]) - mean[c]) / sigma[c]);
+      }
+      count(raw_hist, kHistBins);
+    };
+    for (const KVLayer* layer : layers) {
+      const Tensor& t = kind == 0 ? layer->k : layer->v;
+      for (size_t a = 0; a < t.rows(); a += token_group_size) {
+        const float* anchor = t.Row(a).data();
+        count_raw(anchor);
+        for (size_t c = 0; c < C; ++c) {
+          bins[c] = static_cast<uint32_t>(
+              ClampedLround(anchor[c] / scale[c], kAnchorMaxSym) + kAnchorMaxSym);
+        }
+        count(anchor_hist, kAnchorBins);
+        const size_t group_end = std::min(a + token_group_size, t.rows());
+        for (size_t r = a + 1; r < group_end; ++r) {
+          const float* x = t.Row(r).data();
+          count_raw(x);
+          // Deltas are histogrammed in RAW-sigma units: the bin widths of
+          // the encoding levels are defined on the raw value scale so that
+          // delta and no-delta modes quantize with identical error.
+          for (size_t c = 0; c < C; ++c) {
+            bins[c] = HistBinOf((static_cast<double>(x[c]) - anchor[c]) / sigma[c]);
+          }
+          count(delta_hist, kHistBins);
+        }
+      }
+    }
+  }
 }
 
 std::span<const uint64_t> KVProfile::AnchorHist(size_t l, size_t c, int kind) const {

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -70,11 +71,42 @@ class KVProfile {
 
   KVProfile() = default;
 
-  // Two-pass build over calibration caches (all from the same model):
-  // pass 1 estimates scales, pass 2 fills the normalized histograms.
+  // A source of calibration layers: source(l, visit) calls visit with layer
+  // `l` of every calibration cache, in cache order. The layers need to live
+  // only for the duration of that call, and the build calls the source for
+  // different layers concurrently.
+  using LayerVisitor = std::function<void(std::span<const KVLayer* const>)>;
+  using LayerSource = std::function<void(size_t l, const LayerVisitor& visit)>;
+
+  // Two-pass build over calibration caches (all from the same model), one
+  // layer at a time: pass 1 estimates a layer's scales and pass 2 fills its
+  // normalized histograms, so a source may generate each layer on demand
+  // and drop it afterwards. Layers are independent and fan out over the
+  // codec pool. Each pass walks a tensor row by row, advancing every
+  // channel's accumulators side by side; any one channel still sees its
+  // values in (cache, token) order, so the result does not depend on the
+  // loop order or the pool size.
+  static KVProfile BuildByLayer(const ModelConfig& cfg, const LayerSource& source,
+                                size_t token_group_size = kTokenGroupSize);
+  // The same build over caches already in memory.
   static KVProfile Build(const ModelConfig& cfg,
                          std::span<const KVCache* const> caches,
                          size_t token_group_size = kTokenGroupSize);
+
+  // Histogram bin of a normalized value: clamp(lround(floor(pos)), 0,
+  // kHistBins - 1) for pos = (normalized + kHistRange) / (2 kHistRange) *
+  // kHistBins, without libm or branches (the build's row loops vectorize
+  // over it). Where that form relied on lround's result for an
+  // unrepresentable value (LONG_MIN, from glibc on x86-64) it is kept: NaN,
+  // -inf and pos >= 2^63 (so also +inf) land in bin 0, like every value
+  // below the range.
+  static uint32_t HistBinOf(double normalized) {
+    const double pos = (normalized + kHistRange) / (2.0 * kHistRange) * kHistBins;
+    const double top = pos >= kHistBins && pos < 0x1p63 ? kHistBins - 1.0 : 0.0;
+    // Truncation is floor on [0, kHistBins).
+    return static_cast<uint32_t>(
+        static_cast<int32_t>(pos >= 0.0 && pos < kHistBins ? pos : top));
+  }
 
   size_t num_layers() const { return num_layers_; }
   size_t num_channels() const { return num_channels_; }
@@ -96,6 +128,10 @@ class KVProfile {
 
  private:
   friend class TableSet;
+
+  // Both passes over layer `l` of the calibration caches.
+  void BuildLayer(size_t l, std::span<const KVLayer* const> layers,
+                  size_t token_group_size);
 
   struct ChannelStats {
     double raw_mean = 0.0;

@@ -4,6 +4,7 @@
 // strategy).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -38,10 +39,27 @@ double GroupedEntropyBits(std::span<const int32_t> symbols,
                           std::span<const uint32_t> group_of_symbol,
                           uint32_t num_groups, bool miller_madow = false);
 
+// One Welford step: folds x, the n-th value (n >= 1), into (mean, m2).
+// RunningStats and RunningStatsRow both use it, so they agree bit for bit.
+inline void WelfordAdd(double x, double n, double& mean, double& m2) {
+  const double delta = x - mean;
+  mean += delta / n;
+  m2 += delta * (x - mean);
+}
+
 // Online accumulator for streaming mean/variance (Welford).
 class RunningStats {
  public:
-  void Add(double x);
+  void Add(double x) {
+    if (n_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    WelfordAdd(x, static_cast<double>(n_), mean_, m2_);
+  }
   uint64_t Count() const { return n_; }
   double Mean() const { return n_ ? mean_ : 0.0; }
   double Variance() const { return n_ ? m2_ / static_cast<double>(n_) : 0.0; }
@@ -55,6 +73,38 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
+};
+
+// A row of independent Welford accumulators that receive one value each
+// per row — e.g. one per channel of a (tokens x channels) tensor walked
+// token by token. The accumulators are kept as arrays and advanced a whole
+// row at a time, so the row loop vectorizes; accumulator i's mean and
+// variance equal those of a RunningStats fed the same values.
+class RunningStatsRow {
+ public:
+  explicit RunningStatsRow(size_t width) : mean_(width, 0.0), m2_(width, 0.0) {}
+
+  // Accumulator i receives double(x[i]) (minus double(ref[i])).
+  void AddRow(const float* x) {
+    const double n = static_cast<double>(++n_);
+    for (size_t i = 0; i < mean_.size(); ++i) WelfordAdd(x[i], n, mean_[i], m2_[i]);
+  }
+  void AddRowDelta(const float* x, const float* ref) {
+    const double n = static_cast<double>(++n_);
+    for (size_t i = 0; i < mean_.size(); ++i) {
+      WelfordAdd(static_cast<double>(x[i]) - ref[i], n, mean_[i], m2_[i]);
+    }
+  }
+
+  uint64_t Count() const { return n_; }
+  double Mean(size_t i) const { return n_ ? mean_[i] : 0.0; }
+  double Variance(size_t i) const { return n_ ? m2_[i] / static_cast<double>(n_) : 0.0; }
+  double StdDev(size_t i) const;
+
+ private:
+  uint64_t n_ = 0;
+  std::vector<double> mean_;
+  std::vector<double> m2_;
 };
 
 }  // namespace cachegen

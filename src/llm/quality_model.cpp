@@ -17,19 +17,26 @@ std::vector<double> QualityModel::LayerWeights(size_t num_layers) const {
   return w;
 }
 
-double QualityModel::WeightedNmse(const KVCache& ref, const KVCache& recon) const {
-  const size_t L = ref.num_layers();
-  if (L == 0) return 0.0;
-  std::vector<double> per_layer(L);
-  const std::vector<double> mse = recon.PerLayerMse(ref);
-  for (size_t l = 0; l < L; ++l) {
-    // Normalize by the layer's signal variance (mean-removed power).
+QualityReference::QualityReference(const KVCache& ref) : ref_(&ref) {
+  var_.reserve(ref.num_layers());
+  for (size_t l = 0; l < ref.num_layers(); ++l) {
     const auto& layer = ref.layer(l);
     RunningStats rs;
     for (float x : layer.k.Data()) rs.Add(x);
     for (float x : layer.v.Data()) rs.Add(x);
-    const double var = std::max(rs.Variance(), 1e-12);
-    per_layer[l] = mse[l] / var;
+    var_.push_back(std::max(rs.Variance(), 1e-12));
+  }
+}
+
+double QualityModel::WeightedNmse(const QualityReference& ref,
+                                  const KVCache& recon) const {
+  const size_t L = ref.cache().num_layers();
+  if (L == 0) return 0.0;
+  std::vector<double> per_layer(L);
+  const std::vector<double> mse = recon.PerLayerMse(ref.cache());
+  for (size_t l = 0; l < L; ++l) {
+    // Normalize by the layer's signal variance (mean-removed power).
+    per_layer[l] = mse[l] / ref.LayerVariance(l);
   }
   return WeightedNmse(per_layer);
 }
@@ -51,7 +58,8 @@ double QualityModel::QualityFromDistortion(double weighted_nmse) const {
   return 1.0 / (1.0 + std::exp(p_.logistic_k * x));
 }
 
-double QualityModel::QualityFromKV(const KVCache& ref, const KVCache& recon) const {
+double QualityModel::QualityFromKV(const QualityReference& ref,
+                                   const KVCache& recon) const {
   return QualityFromDistortion(WeightedNmse(ref, recon));
 }
 

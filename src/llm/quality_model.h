@@ -43,20 +43,37 @@ struct QualityModelParams {
   double drop_beta_text = 0.50;  // ... for query-agnostic text pruning (steeper)
 };
 
+// A reference KV cache with its per-layer signal variance (K and V pooled,
+// mean removed: the normalizer of WeightedNmse) computed once, so scoring
+// several reconstructions of one reference walks it once. A KVCache
+// converts implicitly, for a one-off score. Holds a pointer to `ref`, which
+// must outlive it.
+class QualityReference {
+ public:
+  QualityReference(const KVCache& ref);
+
+  const KVCache& cache() const { return *ref_; }
+  double LayerVariance(size_t l) const { return var_[l]; }
+
+ private:
+  const KVCache* ref_;
+  std::vector<double> var_;
+};
+
 class QualityModel {
  public:
   explicit QualityModel(QualityModelParams params = {}) : p_(params) {}
 
   // Layer-weighted normalized MSE of `recon` against `ref`, where each
   // layer's MSE is normalized by that layer's signal variance in `ref`.
-  double WeightedNmse(const KVCache& ref, const KVCache& recon) const;
+  double WeightedNmse(const QualityReference& ref, const KVCache& recon) const;
 
   // Same, from per-layer nMSE values directly (used by analytic sweeps).
   double WeightedNmse(std::span<const double> per_layer_nmse) const;
 
   // Quality factor in [0,1] from distortion alone.
   double QualityFromDistortion(double weighted_nmse) const;
-  double QualityFromKV(const KVCache& ref, const KVCache& recon) const;
+  double QualityFromKV(const QualityReference& ref, const KVCache& recon) const;
 
   // Quality factor from dropping tokens that carried `lost_mass` (in [0,1])
   // of total attention importance. `attention_aware` selects the gentler

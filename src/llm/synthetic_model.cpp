@@ -1,5 +1,6 @@
 #include "llm/synthetic_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -87,78 +88,107 @@ KVCache SyntheticModel::PrefillRange(const ContextSpec& ctx, size_t begin,
   if (begin > end || end > ctx.num_tokens) {
     throw std::out_of_range("SyntheticModel::PrefillRange: bad token range");
   }
-  const size_t L = config_.num_layers;
-  const size_t C = config_.sim_channels;
-  KVCache cache(L, end - begin, C);
+  KVCache cache(config_.num_layers, end - begin, config_.sim_channels);
+  for (size_t l = 0; l < config_.num_layers; ++l) {
+    FillLayer(cache.layer(l), l, ctx, begin, end);
+  }
+  return cache;
+}
 
+KVLayer SyntheticModel::PrefillLayer(const ContextSpec& ctx, size_t layer,
+                                     size_t begin, size_t end) const {
+  if (begin > end || end > ctx.num_tokens || layer >= config_.num_layers) {
+    throw std::out_of_range("SyntheticModel::PrefillLayer: bad layer or token range");
+  }
+  KVLayer out{Tensor(end - begin, config_.sim_channels),
+              Tensor(end - begin, config_.sim_channels)};
+  FillLayer(out, layer, ctx, begin, end);
+  return out;
+}
+
+void SyntheticModel::FillLayer(KVLayer& out, size_t l, const ContextSpec& ctx,
+                               size_t begin, size_t end) const {
   const size_t pt = std::min(ctx.prefix_tokens, ctx.num_tokens);
   if (pt == 0) {
-    FillRangeInto(cache, 0, ctx.seed, ctx.num_tokens, begin, end);
-    return cache;
+    FillRangeInto(out, l, 0, ctx.seed, ctx.num_tokens, begin, end);
+    return;
   }
   // Composed context: the prefix span is generated exactly as the standalone
   // family context {prefix_seed, pt} — bit-identical across every member —
   // and the suffix from the member's own seed over its absolute positions.
   if (begin < pt) {
-    FillRangeInto(cache, 0, ctx.prefix_seed, pt, begin, std::min(end, pt));
+    FillRangeInto(out, l, 0, ctx.prefix_seed, pt, begin, std::min(end, pt));
   }
   if (end > pt) {
     const size_t sfx_begin = std::max(begin, pt);
-    FillRangeInto(cache, sfx_begin - begin, ctx.seed, ctx.num_tokens, sfx_begin,
-                  end);
+    FillRangeInto(out, l, sfx_begin - begin, ctx.seed, ctx.num_tokens, sfx_begin, end);
   }
-  return cache;
 }
 
-void SyntheticModel::FillRangeInto(KVCache& cache, size_t row_offset,
+void SyntheticModel::FillRangeInto(KVLayer& out, size_t l, size_t row_offset,
                                    uint64_t seed, size_t T, size_t begin,
                                    size_t end) const {
-  const size_t L = config_.num_layers;
   const size_t C = config_.sim_channels;
 
-  for (size_t l = 0; l < L; ++l) {
-    Tensor& K = cache.layer(l).k;
-    Tensor& V = cache.layer(l).v;
-    for (size_t c = 0; c < C; ++c) {
-      const ChannelParams& p = Params(l, c);
-      const uint64_t chan_key = Mix(model_seed_, (l << 20) | c);
-      // Context-specific offset and slow drift: shared-across-contexts AC
-      // tables must absorb these for raw values, but deltas cancel them.
-      const uint64_t ctx_key = Mix(seed, chan_key);
-      const double off_k = NoiseGaussian(Mix(ctx_key, 1)) * 0.8 * p.scale_k;
-      const double off_v = NoiseGaussian(Mix(ctx_key, 2)) * 0.8 * p.scale_v;
-      const double slope_k = NoiseGaussian(Mix(ctx_key, 3)) * 0.5 * p.scale_k;
-      const double slope_v = NoiseGaussian(Mix(ctx_key, 4)) * 0.5 * p.scale_v;
+  // Every channel's constants and AR(1) state side by side, so the walk
+  // below advances all channels one token at a time and writes each row
+  // contiguously. A channel's own arithmetic is unchanged.
+  struct Channel {
+    uint64_t ctx_key;
+    double base_k, base_v;    // mean + context offset
+    double slope_k, slope_v;  // slow drift across the context
+    double scale_k, scale_v;
+    double rho, innov;
+    double yk, yv;            // AR(1) state
+  };
+  std::vector<Channel> ch(C);
+  for (size_t c = 0; c < C; ++c) {
+    const ChannelParams& p = Params(l, c);
+    const uint64_t chan_key = Mix(model_seed_, (l << 20) | c);
+    // Context-specific offset and slow drift: shared-across-contexts AC
+    // tables must absorb these for raw values, but deltas cancel them.
+    const uint64_t ctx_key = Mix(seed, chan_key);
+    const double off_k = NoiseGaussian(Mix(ctx_key, 1)) * 0.8 * p.scale_k;
+    const double off_v = NoiseGaussian(Mix(ctx_key, 2)) * 0.8 * p.scale_v;
+    Channel& s = ch[c];
+    s.ctx_key = ctx_key;
+    s.base_k = p.mean_k + off_k;
+    s.base_v = p.mean_v + off_v;
+    s.slope_k = NoiseGaussian(Mix(ctx_key, 3)) * 0.5 * p.scale_k;
+    s.slope_v = NoiseGaussian(Mix(ctx_key, 4)) * 0.5 * p.scale_v;
+    s.scale_k = p.scale_k;
+    s.scale_v = p.scale_v;
+    s.rho = p.rho;
+    s.innov = std::sqrt(1.0 - s.rho * s.rho);
+  }
 
-      // AR(1) along tokens; run from t=0 so any [begin,end) slice matches
-      // the full prefill exactly (the self-attention analogy: each token's
-      // KV depends on all preceding tokens).
-      const double rho = p.rho;
-      const double innov = std::sqrt(1.0 - rho * rho);
-      double yk = 0.0, yv = 0.0;
-      for (size_t t = 0; t < end; ++t) {
-        const double ek = NoiseGaussian(Mix(ctx_key, 0x1000 + 2 * t));
-        const double ev = NoiseGaussian(Mix(ctx_key, 0x1000 + 2 * t + 1));
-        if (t == 0) {
-          yk = ek;
-          yv = ev;
-        } else {
-          yk = rho * yk + innov * ek;
-          yv = rho * yv + innov * ev;
-        }
-        if (t >= begin) {
-          const double pos = T > 1 ? 2.0 * static_cast<double>(t) /
-                                             static_cast<double>(T - 1) -
-                                         1.0
-                                   : 0.0;
-          K.At(row_offset + t - begin, c) =
-              static_cast<float>(p.mean_k + off_k + slope_k * pos +
-                                 p.scale_k * yk);
-          V.At(row_offset + t - begin, c) =
-              static_cast<float>(p.mean_v + off_v + slope_v * pos +
-                                 p.scale_v * yv);
-        }
+  // AR(1) along tokens; run from t=0 so any [begin,end) slice matches the
+  // full prefill exactly (the self-attention analogy: each token's KV
+  // depends on all preceding tokens).
+  for (size_t t = 0; t < end; ++t) {
+    const uint64_t nk = 0x1000 + 2 * t;
+    if (t == 0) {
+      for (Channel& s : ch) {
+        s.yk = NoiseGaussian(Mix(s.ctx_key, nk));
+        s.yv = NoiseGaussian(Mix(s.ctx_key, nk + 1));
       }
+    } else {
+      for (Channel& s : ch) {
+        const double ek = NoiseGaussian(Mix(s.ctx_key, nk));
+        const double ev = NoiseGaussian(Mix(s.ctx_key, nk + 1));
+        s.yk = s.rho * s.yk + s.innov * ek;
+        s.yv = s.rho * s.yv + s.innov * ev;
+      }
+    }
+    if (t < begin) continue;
+    const double pos =
+        T > 1 ? 2.0 * static_cast<double>(t) / static_cast<double>(T - 1) - 1.0 : 0.0;
+    float* k = out.k.Row(row_offset + t - begin).data();
+    float* v = out.v.Row(row_offset + t - begin).data();
+    for (size_t c = 0; c < C; ++c) {
+      const Channel& s = ch[c];
+      k[c] = static_cast<float>(s.base_k + s.slope_k * pos + s.scale_k * s.yk);
+      v[c] = static_cast<float>(s.base_v + s.slope_v * pos + s.scale_v * s.yv);
     }
   }
 }

@@ -70,8 +70,16 @@ class SyntheticModel {
 
   // Prefill restricted to tokens [begin, end) — the unit the streamer
   // recomputes when a chunk is sent as text. Bit-identical to the
-  // corresponding slice of Prefill(ctx).
+  // corresponding slice of Prefill(ctx). Its cost is O(end) noise draws, not
+  // O(end - begin): each channel's AR(1) process runs from t = 0, so a
+  // suffix chunk recomputed from text pays for the whole prefix before it.
   KVCache PrefillRange(const ContextSpec& ctx, size_t begin, size_t end) const;
+
+  // Layer `layer` of PrefillRange(ctx, begin, end) alone, bit-identical to
+  // it, at 1/num_layers of its cost and memory. The offline profiling pass
+  // generates its calibration contexts this way, one layer at a time.
+  KVLayer PrefillLayer(const ContextSpec& ctx, size_t layer, size_t begin,
+                       size_t end) const;
 
   // Per-token attention importance for the context (sums to 1): a Zipf-like
   // heavy-hitter profile with a recency boost, used by the token-dropping
@@ -90,11 +98,16 @@ class SyntheticModel {
     float rho;
   };
 
-  // Generate tokens [begin, end) of the PLAIN context (seed, T) into cache
-  // rows starting at row_offset. PrefillRange composes prefix and suffix
+  // Layer `l`, tokens [begin, end) of the context, composed from its prefix
+  // and suffix segments, into rows [0, end - begin) of `out`.
+  void FillLayer(KVLayer& out, size_t l, const ContextSpec& ctx, size_t begin,
+                 size_t end) const;
+
+  // Generate layer `l`, tokens [begin, end) of the PLAIN context (seed, T)
+  // into rows starting at row_offset. FillLayer composes prefix and suffix
   // segments out of this.
-  void FillRangeInto(KVCache& cache, size_t row_offset, uint64_t seed, size_t T,
-                     size_t begin, size_t end) const;
+  void FillRangeInto(KVLayer& out, size_t l, size_t row_offset, uint64_t seed,
+                     size_t T, size_t begin, size_t end) const;
 
   const ChannelParams& Params(size_t layer, size_t channel) const {
     return params_[layer * config_.sim_channels + channel];

@@ -56,4 +56,20 @@ void ReconstructAnchorRow(const uint32_t* symbols, const double* scale,
 void AdvanceRefRow(const uint32_t* symbols, const double* sigma, double bin,
                    uint32_t max_sym, size_t n, double* ref);
 
+// Scalar clamp(std::lround(v), -lim, lim) without the libm call, for the
+// per-element paths outside the batch kernels (profile histograms, the
+// layered residual walk). Unlike the kernels it does not saturate: where
+// lround cannot represent the result, NaN and v >= 2^63, it keeps what glibc
+// on x86-64 returns there (LONG_MIN), so those clamp to -lim exactly as the
+// lround form did.
+inline long ClampedLround(double v, long lim) {
+  const double bound = static_cast<double>(lim);
+  if (v > -bound && v < bound) {
+    const long t = static_cast<long>(v);  // truncation toward zero
+    const double frac = v - static_cast<double>(t);  // exact (Sterbenz)
+    return t + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0);
+  }
+  return v >= bound && v < 0x1p63 ? lim : -lim;
+}
+
 }  // namespace cachegen

@@ -48,17 +48,26 @@ Engine::Engine(Options opts, std::shared_ptr<KVStore> store)
 
 void Engine::BuildProfile() {
   // Offline profiling pass (§5.2): a handful of calibration contexts from
-  // the same model; distributions are reused for every later context.
-  std::vector<KVCache> caches;
-  caches.reserve(opts_.calib_num_contexts);
-  std::vector<const KVCache*> ptrs;
+  // the same model; distributions are reused for every later context. The
+  // contexts are generated one layer at a time and each layer is dropped
+  // once profiled, so the calibration caches are never resident together.
+  std::vector<ContextSpec> ctxs;
   for (size_t i = 0; i < opts_.calib_num_contexts; ++i) {
-    ContextSpec ctx{0xCA11B000ULL + i * 97ULL, opts_.calib_context_tokens};
-    caches.push_back(llm_->Prefill(ctx));
+    ctxs.push_back({0xCA11B000ULL + i * 97ULL, opts_.calib_context_tokens});
   }
-  for (const auto& c : caches) ptrs.push_back(&c);
-  profile_ = std::make_shared<KVProfile>(
-      KVProfile::Build(model_, ptrs, opts_.codec.token_group_size));
+  profile_ = std::make_shared<KVProfile>(KVProfile::BuildByLayer(
+      model_,
+      [&](size_t l, const KVProfile::LayerVisitor& visit) {
+        std::vector<KVLayer> layers;
+        std::vector<const KVLayer*> ptrs;
+        layers.reserve(ctxs.size());
+        for (const ContextSpec& ctx : ctxs) {
+          layers.push_back(llm_->PrefillLayer(ctx, l, 0, ctx.num_tokens));
+          ptrs.push_back(&layers.back());
+        }
+        visit(ptrs);
+      },
+      opts_.codec.token_group_size));
 }
 
 KVCache Engine::CalculateKV(const ContextSpec& ctx) const { return llm_->Prefill(ctx); }
@@ -224,6 +233,8 @@ void Engine::BuildCalibration() {
   val.seed = 0xBEEFCAFEULL;
   val.num_tokens = std::min<size_t>(opts_.chunk_tokens, 1500);
   const KVCache cache = llm_->Prefill(val);
+  // Each reference's layer variances are computed once for all its scores.
+  const QualityReference ref(cache);
 
   const auto& levels = DefaultEncodingLevels();
   calib.bytes_per_token_per_level.resize(levels.size());
@@ -234,7 +245,7 @@ void Engine::BuildCalibration() {
     calib.bytes_per_token_per_level[lv] =
         static_cast<double>(enc.WireBytes()) * model_.size_scale() /
         static_cast<double>(val.num_tokens);
-    calib.quality_per_level[lv] = quality_.QualityFromKV(cache, recon);
+    calib.quality_per_level[lv] = quality_.QualityFromKV(ref, recon);
   }
 
   // Layered calibration (§9): per base level, the enhancement-layer size and
@@ -243,6 +254,7 @@ void Engine::BuildCalibration() {
   if (opts_.layered_calib_tokens > 0) {
     const size_t lt = std::min(opts_.layered_calib_tokens, val.num_tokens);
     const KVCache lcache = cache.SliceTokens(0, lt);
+    const QualityReference lref(lcache);
     calib.enh_bytes_per_token_per_level.resize(levels.size());
     calib.quality_enhanced_per_level.resize(levels.size());
     for (size_t lv = 0; lv < levels.size(); ++lv) {
@@ -251,7 +263,7 @@ void Engine::BuildCalibration() {
       calib.enh_bytes_per_token_per_level[lv] =
           static_cast<double>(lc.enhancement.size()) * model_.size_scale() /
           static_cast<double>(lt);
-      calib.quality_enhanced_per_level[lv] = quality_.QualityFromKV(lcache, full);
+      calib.quality_enhanced_per_level[lv] = quality_.QualityFromKV(lref, full);
     }
   }
   for (int bits : {3, 4, 8}) {
@@ -260,7 +272,7 @@ void Engine::BuildCalibration() {
     calib.quant_bytes_per_token[bits] =
         QuantBaseline::Bytes(model_, val.num_tokens, bits) /
         static_cast<double>(val.num_tokens);
-    calib.quant_quality[bits] = quality_.QualityFromKV(cache, r.recon);
+    calib.quant_quality[bits] = quality_.QualityFromKV(ref, r.recon);
   }
   calibration_ = std::move(calib);
 }

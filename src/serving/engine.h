@@ -49,6 +49,14 @@ class Engine {
   // FileKVStore, the cluster's ShardedKVStore, or a TieredKVStore — the
   // tiered path gives store_kv/get_kv a hot-RAM/cold-disk hierarchy with
   // the cluster pinning/promoting through the tiered interface.
+  //
+  // Construction runs the offline profiling pass (§5.2) and builds the
+  // codec ladder. The profile is streamed by layer: for each layer, the
+  // calibration contexts' K/V for that layer alone are generated
+  // (SyntheticModel::PrefillLayer), profiled and dropped, so at most one
+  // layer per codec-pool thread is resident and the calib_num_contexts
+  // caches are never held together. Layers fan out over the codec pool;
+  // the profile is bit-identical at any pool size.
   Engine() : Engine(Options{}) {}
   explicit Engine(Options opts, std::shared_ptr<KVStore> store = nullptr);
 
@@ -100,6 +108,10 @@ class Engine {
   // Offline codec calibration (lazy, cached): per-level sizes/quality and
   // the quantization baseline curve, feeding TTFTModel and the benches.
   // Safe to call from multiple threads; the first caller pays the cost.
+  // It prefills one validation context (not streamed by layer: every
+  // level encodes and scores the whole of it), and computes each reference
+  // cache's per-layer variances once (QualityReference) for all of that
+  // reference's quality scores.
   const CodecCalibration& calibration();
 
   TTFTModel MakeTTFTModel();

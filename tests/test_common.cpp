@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -146,6 +147,37 @@ TEST(Stats, RunningStatsMatchesBatch) {
   EXPECT_EQ(rs.Count(), 5000u);
   EXPECT_LE(rs.Min(), rs.Mean());
   EXPECT_GE(rs.Max(), rs.Mean());
+}
+
+// Each accumulator of a row equals a RunningStats fed the same values, bit
+// for bit (the profile build relies on this).
+TEST(Stats, RunningStatsRowMatchesRunningStats) {
+  Rng rng(7);
+  constexpr size_t kWidth = 13;
+  RunningStatsRow row(kWidth), delta_row(kWidth);
+  std::vector<RunningStats> ref(kWidth), delta_ref(kWidth);
+  std::vector<float> x(kWidth), anchor(kWidth);
+  for (int r = 0; r < 700; ++r) {
+    for (size_t i = 0; i < kWidth; ++i) {
+      x[i] = static_cast<float>(rng.Gaussian(static_cast<double>(i), 1.0 + i));
+      ref[i].Add(x[i]);
+      delta_ref[i].Add(static_cast<double>(x[i]) - anchor[i]);
+    }
+    row.AddRow(x.data());
+    delta_row.AddRowDelta(x.data(), anchor.data());
+    if (r % 10 == 0) anchor = x;
+  }
+  EXPECT_EQ(row.Count(), 700u);
+  for (size_t i = 0; i < kWidth; ++i) {
+    EXPECT_EQ(row.Mean(i), ref[i].Mean()) << i;
+    EXPECT_EQ(row.Variance(i), ref[i].Variance()) << i;
+    EXPECT_EQ(row.StdDev(i), ref[i].StdDev()) << i;
+    EXPECT_EQ(delta_row.Mean(i), delta_ref[i].Mean()) << i;
+    EXPECT_EQ(delta_row.Variance(i), delta_ref[i].Variance()) << i;
+  }
+  const RunningStatsRow empty(3);
+  EXPECT_EQ(empty.Mean(1), 0.0);
+  EXPECT_EQ(empty.Variance(1), 0.0);
 }
 
 TEST(Table, RendersAlignedColumns) {

@@ -10,9 +10,17 @@
 //   P4  adaptation never returns an infeasible config when a feasible one
 //       exists, and always returns the least-lossy feasible one;
 //   P5  bandwidth/transfer algebra: TransferSeconds is inverse-monotone in
-//       bandwidth and additive in bytes.
+//       bandwidth and additive in bytes;
+//   P6  the libm-free roundings of the profile build and the layered
+//       residual walk equal the lround forms they replaced;
+//   P7  a per-layer prefill equals that layer of PrefillRange, for plain and
+//       composed contexts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <tuple>
 
@@ -24,6 +32,7 @@
 #include "llm/quality_model.h"
 #include "llm/synthetic_model.h"
 #include "net/bandwidth_trace.h"
+#include "quant/symbol_kernels.h"
 #include "streamer/adaptation.h"
 
 namespace cachegen {
@@ -241,6 +250,137 @@ TEST_P(TraceProperty, TransferAlgebra) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceProperty, ::testing::Range<uint64_t>(1, 11));
+
+// ---------------------------------------------------------------- P6 ------
+// The replaced forms. Where lround's result is unspecified (NaN, a magnitude
+// of 2^63 or more) they are compared as glibc on x86-64 computes them:
+// lround returns LONG_MIN, which the clamps map to their lower bound.
+uint32_t LroundHistBinOf(double normalized) {
+  const double pos = (normalized + KVProfile::kHistRange) /
+                     (2.0 * KVProfile::kHistRange) * KVProfile::kHistBins;
+  const long b = std::lround(std::floor(pos));
+  return static_cast<uint32_t>(
+      std::clamp(b, 0L, static_cast<long>(KVProfile::kHistBins - 1)));
+}
+
+long LroundClamped(double v, long lim) { return std::clamp(std::lround(v), -lim, lim); }
+
+// Every value, its neighbours one ulp away, and its negation.
+void AddWithNeighbours(std::vector<double>& xs, double x) {
+  for (double v : {x, -x}) {
+    xs.push_back(v);
+    xs.push_back(std::nextafter(v, -std::numeric_limits<double>::infinity()));
+    xs.push_back(std::nextafter(v, std::numeric_limits<double>::infinity()));
+  }
+}
+
+// Random finite doubles over every exponent, random values at data scale,
+// ±0, the subnormal and normal extremes, huge magnitudes and NaN.
+std::vector<double> RoundingInputs(uint64_t seed) {
+  std::vector<double> xs;
+  Rng rng(seed);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t bits = rng.NextU64();
+    double x;
+    std::memcpy(&x, &bits, sizeof x);
+    if (std::isfinite(x)) xs.push_back(x);
+    xs.push_back(rng.Gaussian(0.0, 4.0));
+    xs.push_back(rng.Uniform(-300.0, 300.0));
+  }
+  for (double x : {0.0, std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min(), 1e-300, 1e300,
+                   std::numeric_limits<double>::max(), 0x1p52, 0x1p62, 0x1p63,
+                   0x1p64}) {
+    AddWithNeighbours(xs, x);
+  }
+  xs.push_back(std::numeric_limits<double>::quiet_NaN());
+  xs.push_back(-std::numeric_limits<double>::quiet_NaN());
+  return xs;
+}
+
+TEST(RoundingProperty, HistBinOfEqualsLroundFloorForm) {
+  std::vector<double> xs = RoundingInputs(61);
+  // Normalized values that put pos on and beside every bin edge, including
+  // pos = 0, 1, 255 and 256 and the edges just outside the range.
+  for (int k = -2; k <= KVProfile::kHistBins + 2; ++k) {
+    AddWithNeighbours(xs, -KVProfile::kHistRange +
+                              k * (2.0 * KVProfile::kHistRange) / KVProfile::kHistBins);
+  }
+  // Normalized values whose pos lands at and around 2^63.
+  for (double pos : {0x1p62, 0x1p63, 0x1p64}) AddWithNeighbours(xs, pos / 16.0 - 8.0);
+  for (double x : xs) {
+    ASSERT_EQ(KVProfile::HistBinOf(x), LroundHistBinOf(x)) << std::hexfloat << x;
+  }
+  // Infinities: -inf is below the range; +inf, like every pos >= 2^63
+  // (which lround cannot represent), is counted in bin 0 too, as before.
+  EXPECT_EQ(KVProfile::HistBinOf(-std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(KVProfile::HistBinOf(std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(KVProfile::HistBinOf(std::numeric_limits<double>::quiet_NaN()), 0u);
+}
+
+TEST(RoundingProperty, ClampedLroundEqualsLroundForm) {
+  for (long lim : {long{KVProfile::kAnchorMaxSym}, long{KVProfile::kDeltaMaxSym}}) {
+    std::vector<double> xs = RoundingInputs(static_cast<uint64_t>(lim));
+    // Ties and their neighbours across and beyond the clamp range.
+    for (long k = -lim - 3; k <= lim + 3; ++k) {
+      AddWithNeighbours(xs, static_cast<double>(k));
+      AddWithNeighbours(xs, static_cast<double>(k) + 0.5);
+    }
+    AddWithNeighbours(xs, 0.49999999999999994);
+    for (double x : xs) {
+      ASSERT_EQ(ClampedLround(x, lim), LroundClamped(x, lim))
+          << std::hexfloat << x << " lim " << lim;
+    }
+    // Infinities: -inf clamps to -lim; +inf, which lround cannot represent,
+    // also gives -lim, as the lround form did.
+    EXPECT_EQ(ClampedLround(-std::numeric_limits<double>::infinity(), lim), -lim);
+    EXPECT_EQ(ClampedLround(std::numeric_limits<double>::infinity(), lim), -lim);
+  }
+}
+
+// ---------------------------------------------------------------- P7 ------
+struct LayerCase {
+  size_t prefix_tokens;  // 0 = plain context
+  size_t begin, end;
+};
+
+class PrefillLayerProperty : public ::testing::TestWithParam<LayerCase> {};
+
+TEST_P(PrefillLayerProperty, EqualsLayerOfPrefillRange) {
+  const LayerCase& p = GetParam();
+  const SyntheticModel model(ModelConfig::Preset("llama-3b"));
+  ContextSpec ctx{0x1A7E5ULL, 300};
+  ctx.prefix_seed = 0xFA417ULL;
+  ctx.prefix_tokens = p.prefix_tokens;
+  const KVCache range = model.PrefillRange(ctx, p.begin, p.end);
+  for (size_t l = 0; l < range.num_layers(); ++l) {
+    const KVLayer layer = model.PrefillLayer(ctx, l, p.begin, p.end);
+    for (int kind = 0; kind < 2; ++kind) {
+      const Tensor& a = kind == 0 ? layer.k : layer.v;
+      const Tensor& b = kind == 0 ? range.layer(l).k : range.layer(l).v;
+      ASSERT_TRUE(a.SameShape(b)) << "layer " << l;
+      if (a.empty()) continue;
+      ASSERT_EQ(std::memcmp(a.Data().data(), b.Data().data(), a.size() * sizeof(float)), 0)
+          << "layer " << l << " kind " << kind;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlainAndComposed, PrefillLayerProperty,
+    ::testing::Values(LayerCase{0, 0, 300}, LayerCase{0, 1, 2}, LayerCase{0, 137, 251},
+                      LayerCase{0, 300, 300}, LayerCase{120, 0, 300},
+                      LayerCase{120, 0, 120}, LayerCase{120, 119, 121},
+                      LayerCase{120, 120, 300}, LayerCase{120, 200, 299},
+                      LayerCase{300, 10, 300}));
+
+TEST(PrefillLayer, Validation) {
+  const SyntheticModel model(ModelConfig::Preset("llama-3b"));
+  EXPECT_THROW(model.PrefillLayer({1, 10}, 0, 5, 3), std::out_of_range);
+  EXPECT_THROW(model.PrefillLayer({1, 10}, 0, 0, 11), std::out_of_range);
+  EXPECT_THROW(model.PrefillLayer({1, 10}, model.config().num_layers, 0, 10),
+               std::out_of_range);
+}
 
 }  // namespace
 }  // namespace cachegen
