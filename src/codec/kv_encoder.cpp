@@ -55,7 +55,7 @@ inline uint32_t AnchorSymbol(double value, double scale) {
 }  // namespace
 
 void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
-                            std::vector<uint8_t>& out) const {
+                            std::vector<uint8_t>& out, KVCache* recon) const {
   const CodecOptions& opt = tables_->options();
   const size_t G = opt.token_group_size;
   const size_t t0 = group * G;
@@ -73,11 +73,17 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
   std::vector<double> offset(C), sigma(C), scale(C);
   std::vector<uint32_t> syms(C);
   std::vector<const FreqTable*> body(C), anchor(C);
+  // Consecutive mode advances `ref` through ReconstructRow even when no
+  // reconstruction is wanted; its float output then lands here.
+  const bool consecutive = opt.anchor_mode == AnchorMode::kConsecutive;
+  std::vector<float> scratch(recon || !consecutive ? 0 : C);
 
   for (size_t l = 0; l < chunk.num_layers(); ++l) {
     const double bin = tables_->BinFor(l);
     for (int kind = 0; kind < 2; ++kind) {
       const Tensor& t = kind == 0 ? chunk.layer(l).k : chunk.layer(l).v;
+      Tensor* rt = recon ? (kind == 0 ? &recon->layer(l).k : &recon->layer(l).v)
+                         : nullptr;
       for (size_t c = 0; c < C; ++c) {
         sigma[c] = tables_->BodySigma(l, c, kind);
         body[c] = &tables_->Body(l, c, kind);
@@ -89,6 +95,11 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
           QuantizeRow(t.Row(r).data(), offset.data(), sigma.data(), bin,
                       KVProfile::kDeltaMaxSym, C, syms.data());
           enc.EncodeRun(body.data(), syms.data(), C);
+          if (rt) {
+            ReconstructRow(syms.data(), sigma.data(), bin, KVProfile::kDeltaMaxSym,
+                           /*advance_ref=*/false, C, offset.data(),
+                           rt->Row(r).data());
+          }
         }
         continue;
       }
@@ -102,14 +113,20 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
       QuantizeAnchorRow(t.Row(t0).data(), scale.data(), KVProfile::kAnchorMaxSym,
                         C, syms.data(), ref.data());
       enc.EncodeRun(anchor.data(), syms.data(), C);
+      if (rt) {
+        float* row = rt->Row(t0).data();
+        for (size_t c = 0; c < C; ++c) row[c] = static_cast<float>(ref[c]);
+      }
       for (size_t r = t0 + 1; r < t1; ++r) {
         QuantizeRow(t.Row(r).data(), ref.data(), sigma.data(), bin,
                     KVProfile::kDeltaMaxSym, C, syms.data());
         enc.EncodeRun(body.data(), syms.data(), C);
-        if (opt.anchor_mode == AnchorMode::kConsecutive) {
-          // Reference tracks the reconstructed previous token.
-          AdvanceRefRow(syms.data(), sigma.data(), bin, KVProfile::kDeltaMaxSym,
-                        C, ref.data());
+        // In consecutive mode the reference tracks the reconstructed
+        // previous token, updated by the decoder's own expression.
+        if (rt || consecutive) {
+          ReconstructRow(syms.data(), sigma.data(), bin, KVProfile::kDeltaMaxSym,
+                         consecutive, C, ref.data(),
+                         rt ? rt->Row(r).data() : scratch.data());
         }
       }
     }
@@ -119,7 +136,8 @@ void KVEncoder::EncodeGroup(const KVCache& chunk, size_t group,
 }
 
 EncodedChunk KVEncoder::EncodeChunk(const KVCache& chunk, uint32_t chunk_index,
-                                    uint64_t token_begin, unsigned threads) const {
+                                    uint64_t token_begin, unsigned threads,
+                                    KVCache* recon) const {
   CG_TRACE_SPAN("codec", "encode_chunk");
   [[maybe_unused]] const uint64_t enc_start_us = obs::Tracer::NowUs();
   EncodedChunk out;
@@ -135,7 +153,11 @@ EncodedChunk KVEncoder::EncodeChunk(const KVCache& chunk, uint32_t chunk_index,
   const size_t groups = NumTokenGroups(chunk.num_tokens(),
                                        tables_->options().token_group_size);
   out.streams.resize(groups);
-  ParallelFor(groups, [&](size_t g) { EncodeGroup(chunk, g, out.streams[g]); },
+  if (recon) {
+    *recon = KVCache(chunk.num_layers(), chunk.num_tokens(), chunk.num_channels());
+  }
+  ParallelFor(groups,
+              [&](size_t g) { EncodeGroup(chunk, g, out.streams[g], recon); },
               threads);
   CG_METRIC_COUNT("codec.chunks_encoded", 1);
   CG_METRIC_HIST("codec.encode_us", obs::Tracer::NowUs() - enc_start_us);

@@ -56,9 +56,15 @@ class KVEncoder {
             const CodecOptions& options = {});
 
   // Encode one chunk of KV (tokens already sliced by the streamer).
-  // `threads` = 0 uses hardware concurrency.
+  // `threads` = 0 uses hardware concurrency. With `recon`, the encoder is
+  // closed-loop: it also writes the reconstruction KVDecoder::DecodeChunk
+  // would produce from the result, bit for bit, through the decoder's own
+  // kernels (anchor rows are the float of the reconstructed reference,
+  // delta rows go through ReconstructRow), so callers that need both the
+  // bitstream and what the receiver will see never decode their own output.
   EncodedChunk EncodeChunk(const KVCache& chunk, uint32_t chunk_index = 0,
-                           uint64_t token_begin = 0, unsigned threads = 0) const;
+                           uint64_t token_begin = 0, unsigned threads = 0,
+                           KVCache* recon = nullptr) const;
 
   // Model-based size estimate in bytes (cross-entropy under the tables)
   // without running the range coder — used by fast TTFT sweeps.
@@ -68,8 +74,10 @@ class KVEncoder {
   const KVProfile& profile() const { return *profile_; }
 
  private:
-  void EncodeGroup(const KVCache& chunk, size_t group,
-                   std::vector<uint8_t>& out) const;
+  // Codes one token group into `out`; with `recon`, also writes the
+  // group's reconstructed rows (disjoint from every other group's).
+  void EncodeGroup(const KVCache& chunk, size_t group, std::vector<uint8_t>& out,
+                   KVCache* recon) const;
 
   std::shared_ptr<const KVProfile> profile_;
   std::shared_ptr<const TableSet> tables_;

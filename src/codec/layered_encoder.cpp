@@ -12,25 +12,26 @@ namespace {
 constexpr uint32_t kResidualAlphabet = 2 * KVProfile::kDeltaMaxSym + 1;
 
 // Walk the residual symbol stream (the exact sequence the enhancement layer
-// codes) in encode order, feeding each symbol to `fn(uint32_t)`.
-template <typename Fn>
+// codes) in encode order, feeding each symbol to `fn(sym, base, sigma)`
+// with `base` the element's base reconstruction — writable when
+// `base_recon` is, so a caller can lift it to the enhanced value in place.
+template <typename Recon, typename Fn>
 void ForEachResidualSymbol(const TableSet& tables, const KVCache& chunk,
-                           const KVCache& base_recon, double fine_bin_sigma,
-                           Fn&& fn) {
+                           Recon& base_recon, double fine_bin_sigma, Fn&& fn) {
   const long max_sym = KVProfile::kDeltaMaxSym;
   std::vector<double> sigma(chunk.num_channels());
   for (size_t l = 0; l < chunk.num_layers(); ++l) {
     for (int kind = 0; kind < 2; ++kind) {
       const Tensor& orig = kind == 0 ? chunk.layer(l).k : chunk.layer(l).v;
-      const Tensor& base = kind == 0 ? base_recon.layer(l).k : base_recon.layer(l).v;
+      auto& base = kind == 0 ? base_recon.layer(l).k : base_recon.layer(l).v;
       for (size_t c = 0; c < sigma.size(); ++c) sigma[c] = tables.BodySigma(l, c, kind);
       for (size_t r = 0; r < orig.rows(); ++r) {
         const float* o = orig.Row(r).data();
-        const float* b = base.Row(r).data();
+        auto* b = base.Row(r).data();
         for (size_t c = 0; c < orig.cols(); ++c) {
           const double resid = (o[c] - b[c]) / sigma[c];
           const long s = ClampedLround(resid / fine_bin_sigma, max_sym);
-          fn(static_cast<uint32_t>(s + max_sym));
+          fn(static_cast<uint32_t>(s + max_sym), b[c], sigma[c]);
         }
       }
     }
@@ -57,36 +58,50 @@ LayeredEncoder::LayeredEncoder(std::shared_ptr<const KVProfile> profile,
       base_level_id_(base_level.id) {}
 
 LayeredChunk LayeredEncoder::Encode(const KVCache& chunk, uint32_t chunk_index,
-                                    uint64_t token_begin) const {
+                                    uint64_t token_begin, KVCache* enhanced) const {
   LayeredChunk out;
   out.fine_bin_sigma = fine_bin_sigma_;
-  out.base = base_encoder_.EncodeChunk(chunk, chunk_index, token_begin);
-
-  // Residual against what the receiver will reconstruct from the base.
-  const KVCache base_recon = base_decoder_.DecodeChunk(out.base);
+  // Residual against what the receiver will reconstruct from the base: the
+  // closed-loop encoder hands that reconstruction back with the bitstream.
+  KVCache recon;
+  out.base = base_encoder_.EncodeChunk(chunk, chunk_index, token_begin, 0, &recon);
 
   BitWriter writer;
   RangeEncoder enc(writer);
   AdaptiveModel model(kResidualAlphabet);
-  ForEachResidualSymbol(*tables_, chunk, base_recon, fine_bin_sigma_,
-                        [&](uint32_t sym) { model.EncodeAndUpdate(enc, sym); });
+  ForEachResidualSymbol(
+      *tables_, chunk, recon, fine_bin_sigma_,
+      [&](uint32_t sym, float& base, double sigma) {
+        model.EncodeAndUpdate(enc, sym);
+        if (enhanced) {
+          // DecodeFull's expression, applied once this element is read.
+          const double sn = static_cast<double>(sym) - KVProfile::kDeltaMaxSym;
+          base = static_cast<float>(base + sn * fine_bin_sigma_ * sigma);
+        }
+      });
   enc.Finish();
   out.enhancement = writer.TakeBytes();
+  if (enhanced) *enhanced = std::move(recon);
   return out;
 }
 
 double LayeredEncoder::EstimateEnhancementBytes(const KVCache& chunk) const {
-  return EstimateEnhancementBytes(chunk, base_encoder_.EncodeChunk(chunk));
+  KVCache recon;
+  base_encoder_.EncodeChunk(chunk, 0, 0, 0, &recon);
+  return EnhancementBytesFromBase(chunk, recon);
 }
 
 double LayeredEncoder::EstimateEnhancementBytes(const KVCache& chunk,
                                                 const EncodedChunk& base) const {
-  const KVCache base_recon = base_decoder_.DecodeChunk(base);
+  return EnhancementBytesFromBase(chunk, base_decoder_.DecodeChunk(base));
+}
 
+double LayeredEncoder::EnhancementBytesFromBase(const KVCache& chunk,
+                                                const KVCache& base_recon) const {
   std::vector<uint64_t> counts(kResidualAlphabet, 0);
   uint64_t total = 0;
   ForEachResidualSymbol(*tables_, chunk, base_recon, fine_bin_sigma_,
-                        [&](uint32_t sym) {
+                        [&](uint32_t sym, float, double) {
                           ++counts[sym];
                           ++total;
                         });

@@ -39,8 +39,14 @@ class LayeredEncoder {
                  std::shared_ptr<const TableSet> tables,
                  const EncodingLevel& base_level, double fine_bin_sigma = 0.25);
 
+  // Codes the base layer, then the residual against the base
+  // reconstruction, which the closed-loop base encoder returns with the
+  // bitstream (no decode). With `enhanced`, also returns what DecodeFull
+  // would reconstruct, bit for bit: the base reconstruction is lifted in
+  // place, element by element, as the residual walk codes it, so no second
+  // chunk-sized cache is held.
   LayeredChunk Encode(const KVCache& chunk, uint32_t chunk_index = 0,
-                      uint64_t token_begin = 0) const;
+                      uint64_t token_begin = 0, KVCache* enhanced = nullptr) const;
 
   // Decode using the base layer only (coarse reconstruction).
   KVCache DecodeBase(const LayeredChunk& chunk) const;
@@ -52,8 +58,9 @@ class LayeredEncoder {
   // the range coder: empirical order-0 entropy of the residual symbols,
   // which tracks the adaptive model's coded length closely (the model
   // converges to the empirical distribution within a few rebuild windows).
-  // The second form reuses an already-encoded base layer (e.g. store_kv has
-  // just produced it) and skips the internal base encode.
+  // The first form takes the base reconstruction from the closed-loop base
+  // encode; the second reuses an already-encoded base layer (e.g. store_kv
+  // has just produced it), skipping the base encode but decoding it.
   double EstimateEnhancementBytes(const KVCache& chunk) const;
   double EstimateEnhancementBytes(const KVCache& chunk,
                                   const EncodedChunk& base) const;
@@ -62,6 +69,9 @@ class LayeredEncoder {
   double fine_bin_sigma() const { return fine_bin_sigma_; }
 
  private:
+  double EnhancementBytesFromBase(const KVCache& chunk,
+                                  const KVCache& base_recon) const;
+
   std::shared_ptr<const KVProfile> profile_;
   std::shared_ptr<const TableSet> tables_;
   KVEncoder base_encoder_;

@@ -1,23 +1,23 @@
 #include "quant/symbol_kernels.h"
 
+#include <algorithm>
+
 namespace cachegen {
 
 namespace {
 
 // Round-half-away-from-zero on a pre-saturated quotient, then clamp to
-// ±max_sym and shift to the unsigned symbol. trunc-via-int32 plus an exact
-// fractional compare reproduces std::lround bit-for-bit (q - trunc(q) is
-// exact by Sterbenz) while staying branch-free and vectorizable.
+// ±max_sym and shift to the unsigned symbol. q - trunc(q) is exact by
+// Sterbenz and lies in (-1, 1), so doubling it is exact too and its
+// truncation is ±1 exactly when |frac| >= 0.5: t + int(frac + frac) is
+// std::lround bit-for-bit, with no compare-and-select the vectorizer has to
+// widen across the double and int32 lanes.
 inline uint32_t RoundClampShift(double q, double bound, int32_t max_s) {
-  q = q > bound ? bound : q;
-  q = q < -bound ? -bound : q;
-  int32_t s = static_cast<int32_t>(q);  // truncation toward zero
-  const double frac = q - static_cast<double>(s);
-  s += frac >= 0.5 ? 1 : 0;
-  s -= frac <= -0.5 ? 1 : 0;
-  s = s > max_s ? max_s : s;
-  s = s < -max_s ? -max_s : s;
-  return static_cast<uint32_t>(s + max_s);
+  q = std::max(std::min(q, bound), -bound);
+  const int32_t t = static_cast<int32_t>(q);  // truncation toward zero
+  const double frac = q - static_cast<double>(t);
+  const int32_t s = t + static_cast<int32_t>(frac + frac);
+  return static_cast<uint32_t>(std::max(std::min(s, max_s), -max_s) + max_s);
 }
 
 }  // namespace
@@ -72,14 +72,6 @@ void ReconstructAnchorRow(const uint32_t* symbols, const double* scale,
   for (size_t i = 0; i < n; ++i) {
     ref[i] = (static_cast<double>(symbols[i]) - max_d) * scale[i];
     out[i] = static_cast<float>(ref[i]);
-  }
-}
-
-void AdvanceRefRow(const uint32_t* symbols, const double* sigma, double bin,
-                   uint32_t max_sym, size_t n, double* ref) {
-  const double max_d = static_cast<double>(max_sym);
-  for (size_t i = 0; i < n; ++i) {
-    ref[i] += (static_cast<double>(symbols[i]) - max_d) * bin * sigma[i];
   }
 }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "baselines/quant_baseline.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 
@@ -228,51 +229,60 @@ const CodecCalibration& Engine::calibration() {
 
 void Engine::BuildCalibration() {
   CodecCalibration calib;
+  const auto& levels = DefaultEncodingLevels();
   // Validation context disjoint from the profiling set.
   ContextSpec val;
   val.seed = 0xBEEFCAFEULL;
   val.num_tokens = std::min<size_t>(opts_.chunk_tokens, 1500);
-  const KVCache cache = llm_->Prefill(val);
-  // Each reference's layer variances are computed once for all its scores.
-  const QualityReference ref(cache);
+  const size_t lt = std::min(opts_.layered_calib_tokens, val.num_tokens);
+  KVCache lcache;  // the layered phase's slice, kept past the full cache
+  {
+    const KVCache cache = llm_->Prefill(val);
+    // Each reference's layer variances are computed once for all its scores.
+    const QualityReference ref(cache);
 
-  const auto& levels = DefaultEncodingLevels();
-  calib.bytes_per_token_per_level.resize(levels.size());
-  calib.quality_per_level.resize(levels.size());
-  for (size_t lv = 0; lv < levels.size(); ++lv) {
-    const EncodedChunk enc = encoders_[lv]->EncodeChunk(cache);
-    const KVCache recon = decoders_[lv]->DecodeChunk(enc);
-    calib.bytes_per_token_per_level[lv] =
-        static_cast<double>(enc.WireBytes()) * model_.size_scale() /
-        static_cast<double>(val.num_tokens);
-    calib.quality_per_level[lv] = quality_.QualityFromKV(ref, recon);
+    // Each level's reconstruction comes from the closed-loop encoder, which
+    // already fans out over token groups; nothing is decoded.
+    calib.bytes_per_token_per_level.resize(levels.size());
+    calib.quality_per_level.resize(levels.size());
+    for (size_t lv = 0; lv < levels.size(); ++lv) {
+      KVCache recon;
+      const EncodedChunk enc = encoders_[lv]->EncodeChunk(cache, 0, 0, 0, &recon);
+      calib.bytes_per_token_per_level[lv] =
+          static_cast<double>(enc.WireBytes()) * model_.size_scale() /
+          static_cast<double>(val.num_tokens);
+      calib.quality_per_level[lv] = quality_.QualityFromKV(ref, recon);
+    }
+    for (int bits : {3, 4, 8}) {
+      const QuantBaseline qb(bits);
+      const QuantBaselineResult r = qb.Apply(cache);
+      calib.quant_bytes_per_token[bits] =
+          QuantBaseline::Bytes(model_, val.num_tokens, bits) /
+          static_cast<double>(val.num_tokens);
+      calib.quant_quality[bits] = quality_.QualityFromKV(ref, r.recon);
+    }
+    if (lt > 0) lcache = cache.SliceTokens(0, lt);
   }
 
   // Layered calibration (§9): per base level, the enhancement-layer size and
   // the quality the enhancement lifts that base to. A shorter validation
-  // slice keeps the scalar residual coder off the critical path.
-  if (opts_.layered_calib_tokens > 0) {
-    const size_t lt = std::min(opts_.layered_calib_tokens, val.num_tokens);
-    const KVCache lcache = cache.SliceTokens(0, lt);
+  // slice keeps the scalar residual coder off the critical path, and the
+  // levels run concurrently: each level's serial adaptive coder is the long
+  // pole, and its nested base encode runs inline on the level's thread.
+  // Every level writes only its own slots, so the result does not depend on
+  // the pool size.
+  if (lt > 0) {
     const QualityReference lref(lcache);
     calib.enh_bytes_per_token_per_level.resize(levels.size());
     calib.quality_enhanced_per_level.resize(levels.size());
-    for (size_t lv = 0; lv < levels.size(); ++lv) {
-      const LayeredChunk lc = layered_[lv]->Encode(lcache);
-      const KVCache full = layered_[lv]->DecodeFull(lc);
+    ParallelFor(levels.size(), [&](size_t lv) {
+      KVCache full;
+      const LayeredChunk lc = layered_[lv]->Encode(lcache, 0, 0, &full);
       calib.enh_bytes_per_token_per_level[lv] =
           static_cast<double>(lc.enhancement.size()) * model_.size_scale() /
           static_cast<double>(lt);
       calib.quality_enhanced_per_level[lv] = quality_.QualityFromKV(lref, full);
-    }
-  }
-  for (int bits : {3, 4, 8}) {
-    const QuantBaseline qb(bits);
-    const QuantBaselineResult r = qb.Apply(cache);
-    calib.quant_bytes_per_token[bits] =
-        QuantBaseline::Bytes(model_, val.num_tokens, bits) /
-        static_cast<double>(val.num_tokens);
-    calib.quant_quality[bits] = quality_.QualityFromKV(ref, r.recon);
+    });
   }
   calibration_ = std::move(calib);
 }

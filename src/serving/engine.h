@@ -111,7 +111,12 @@ class Engine {
   // It prefills one validation context (not streamed by layer: every
   // level encodes and scores the whole of it), and computes each reference
   // cache's per-layer variances once (QualityReference) for all of that
-  // reference's quality scores.
+  // reference's quality scores. It decodes nothing: every reconstruction it
+  // scores comes from the closed-loop encoders. The ladder levels and the
+  // quant baselines run one after another on the full validation cache
+  // (each encode fans out over token groups); that cache is dropped before
+  // the layered levels run concurrently, one per pool thread, on their
+  // shorter slice. The result is the same bits at any pool size.
   const CodecCalibration& calibration();
 
   TTFTModel MakeTTFTModel();

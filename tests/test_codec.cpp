@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "codec/container.h"
@@ -416,6 +417,73 @@ TEST_F(CodecTest, TruncatedEnhancementKeepsBaseDecodable) {
   lc.enhancement.resize(lc.enhancement.size() / 2);
   EXPECT_NO_THROW(layered.DecodeBase(lc));
   EXPECT_THROW(layered.DecodeFull(lc), std::out_of_range);
+}
+
+// Bitwise equality of two caches (shape and every float's bits).
+bool SameBits(const KVCache& a, const KVCache& b) {
+  if (a.num_layers() != b.num_layers() || a.num_tokens() != b.num_tokens() ||
+      a.num_channels() != b.num_channels()) {
+    return false;
+  }
+  for (size_t l = 0; l < a.num_layers(); ++l) {
+    for (int kind = 0; kind < 2; ++kind) {
+      const Tensor& ta = kind == 0 ? a.layer(l).k : a.layer(l).v;
+      const Tensor& tb = kind == 0 ? b.layer(l).k : b.layer(l).v;
+      if (std::memcmp(ta.Data().data(), tb.Data().data(), ta.size() * sizeof(float)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Closed-loop oracle: the reconstruction EncodeChunk hands back is the
+// decoder's, bit for bit, at every level, with delta coding on and off, in
+// both anchor modes, for full groups only, a ragged tail group and a
+// one-token chunk. The bitstream is the open-loop encoder's.
+TEST_F(CodecTest, ClosedLoopReconEqualsDecode) {
+  for (const size_t tokens : {size_t{120}, size_t{127}, size_t{1}}) {
+    const KVCache chunk = model_->Prefill({230 + tokens, tokens});
+    for (const bool delta : {true, false}) {
+      for (const AnchorMode mode : {AnchorMode::kAnchor, AnchorMode::kConsecutive}) {
+        CodecOptions opt;
+        opt.delta_encoding = delta;
+        opt.anchor_mode = mode;
+        for (const EncodingLevel& level : DefaultEncodingLevels()) {
+          SCOPED_TRACE(::testing::Message()
+                       << "tokens " << tokens << " delta " << delta << " consecutive "
+                       << (mode == AnchorMode::kConsecutive) << " level " << level.id);
+          const auto tables = std::make_shared<TableSet>(*profile_, level, opt);
+          const KVEncoder enc(profile_, tables);
+          KVCache recon;
+          const EncodedChunk e = enc.EncodeChunk(chunk, 0, 0, 0, &recon);
+          EXPECT_EQ(e.streams, enc.EncodeChunk(chunk).streams);
+          EXPECT_TRUE(SameBits(recon, KVDecoder(profile_, tables).DecodeChunk(e)));
+        }
+      }
+    }
+  }
+}
+
+// The layered encoder's base reconstruction (the closed-loop base encode)
+// equals DecodeBase, and the enhanced reconstruction it returns equals
+// DecodeFull, at every base level.
+TEST_F(CodecTest, LayeredClosedLoopEqualsDecodeFull) {
+  for (const size_t tokens : {size_t{120}, size_t{127}, size_t{1}}) {
+    const KVCache chunk = model_->Prefill({240 + tokens, tokens});
+    for (const EncodingLevel& level : DefaultEncodingLevels()) {
+      SCOPED_TRACE(::testing::Message() << "tokens " << tokens << " level " << level.id);
+      const auto tables = std::make_shared<TableSet>(*profile_, level, CodecOptions{});
+      const LayeredEncoder layered(profile_, tables, level, 0.25);
+      KVCache base;
+      KVEncoder(profile_, tables).EncodeChunk(chunk, 0, 0, 0, &base);
+      KVCache enhanced;
+      const LayeredChunk lc = layered.Encode(chunk, 0, 0, &enhanced);
+      EXPECT_EQ(lc.enhancement, layered.Encode(chunk).enhancement);
+      EXPECT_TRUE(SameBits(base, layered.DecodeBase(lc)));
+      EXPECT_TRUE(SameBits(enhanced, layered.DecodeFull(lc)));
+    }
+  }
 }
 
 TEST_F(CodecTest, EnhancementSizeEstimateTracksActual) {

@@ -10,8 +10,9 @@
 //   * the serialized KVProfile of a default Engine, and of a direct
 //     KVProfile::Build over ragged caches at a non-default group size;
 //   * the bits of every CodecCalibration field of that Engine;
-//   * the profile digest again under CACHEGEN_THREADS=1 and 8 (re-exec), so
-//     any parallel fan-out of the profile build stays pool-size independent.
+//   * the profile and calibration digests again under CACHEGEN_THREADS=1
+//     and 8 (re-exec), so the parallel fan-out of the profile build and the
+//     concurrent layered calibration stay pool-size independent.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -150,14 +151,23 @@ TEST(GoldenSetup, RaggedProfileBytes) {
   EXPECT_EQ(Hex(ProfileDigest(KVProfile::Build(cfg, ptrs, 7))), Hex(kRaggedProfileDigest));
 }
 
-// Re-exec target: prints the default Engine's profile digest.
+// Re-exec targets: print the default Engine's profile / calibration digest.
 TEST(GoldenSetupProbe, PrintProfileDigest) {
-  std::printf("CG_PROFILE %s\n", Hex(ProfileDigest(*DefaultEngine().profile())).c_str());
+  std::printf("CG_DIGEST %s\n", Hex(ProfileDigest(*DefaultEngine().profile())).c_str());
   std::fflush(stdout);
   SUCCEED();
 }
 
-std::string ProfileDigestWithThreads(const char* threads) {
+TEST(GoldenSetupProbe, PrintCalibrationDigest) {
+  std::printf("CG_DIGEST %s\n",
+              Hex(CalibrationDigest(DefaultEngine().calibration())).c_str());
+  std::fflush(stdout);
+  SUCCEED();
+}
+
+// Runs this binary's `probe` test under CACHEGEN_THREADS=`threads` and
+// returns the digest it prints ("" if the run failed).
+std::string ProbeDigestWithThreads(const char* probe, const char* threads) {
   // Resolve the symlink here: handed to the shell verbatim, /proc/self/exe
   // would resolve to the shell's own binary at exec time.
   char self[4096];
@@ -165,25 +175,33 @@ std::string ProfileDigestWithThreads(const char* threads) {
   if (n <= 0) return {};
   self[n] = '\0';
   const std::string cmd = std::string("CACHEGEN_THREADS=") + threads + " '" + self +
-                          "' --gtest_filter=GoldenSetupProbe.PrintProfileDigest 2>/dev/null";
+                          "' --gtest_filter=GoldenSetupProbe." + probe + " 2>/dev/null";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return {};
   std::string out;
   char buf[512];
   while (fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
   pclose(pipe);
-  const size_t pos = out.find("CG_PROFILE ");
+  const size_t pos = out.find("CG_DIGEST ");
   if (pos == std::string::npos) return {};
-  return out.substr(pos + 11, out.find('\n', pos) - pos - 11);
+  return out.substr(pos + 10, out.find('\n', pos) - pos - 10);
 }
 
-TEST(GoldenSetup, ProfileIndependentOfPoolSize) {
-  const std::string one = ProfileDigestWithThreads("1");
-  const std::string many = ProfileDigestWithThreads("8");
+void ExpectIndependentOfPoolSize(const char* probe, uint64_t expected) {
+  const std::string one = ProbeDigestWithThreads(probe, "1");
+  const std::string many = ProbeDigestWithThreads(probe, "8");
   ASSERT_FALSE(one.empty()) << "probe run with CACHEGEN_THREADS=1 failed";
   ASSERT_FALSE(many.empty()) << "probe run with CACHEGEN_THREADS=8 failed";
   EXPECT_EQ(one, many);
-  EXPECT_EQ(one, Hex(kProfileDigest));
+  EXPECT_EQ(one, Hex(expected));
+}
+
+TEST(GoldenSetup, ProfileIndependentOfPoolSize) {
+  ExpectIndependentOfPoolSize("PrintProfileDigest", kProfileDigest);
+}
+
+TEST(GoldenSetup, CalibrationIndependentOfPoolSize) {
+  ExpectIndependentOfPoolSize("PrintCalibrationDigest", kCalibrationDigest);
 }
 
 }  // namespace

@@ -362,7 +362,7 @@ TEST(LayeredStorePath, StoreKVPricesEnhancementFromCalibration) {
           ShardedKVStore::Options{.num_shards = 2, .capacity_bytes = 0}),
       popts);
   Engine engine(eopts, pc);
-  engine.calibration();  // calibration decodes; keep it out of the deltas
+  engine.calibration();  // pay for calibration before the measured calls
   const obs::Counter& decoded =
       obs::MetricsRegistry::Instance().GetCounter("codec.chunks_decoded");
 

@@ -12,7 +12,8 @@
 //   P5  bandwidth/transfer algebra: TransferSeconds is inverse-monotone in
 //       bandwidth and additive in bytes;
 //   P6  the libm-free roundings of the profile build and the layered
-//       residual walk equal the lround forms they replaced;
+//       residual walk, and the codec's batch quantize kernels, equal the
+//       lround forms they replaced;
 //   P7  a per-layer prefill equals that layer of PrefillRange, for plain and
 //       composed contexts.
 #include <gtest/gtest.h>
@@ -335,6 +336,103 @@ TEST(RoundingProperty, ClampedLroundEqualsLroundForm) {
     // also gives -lim, as the lround form did.
     EXPECT_EQ(ClampedLround(-std::numeric_limits<double>::infinity(), lim), -lim);
     EXPECT_EQ(ClampedLround(std::numeric_limits<double>::infinity(), lim), -lim);
+  }
+}
+
+// The kernels' reference: the scalar clamp(std::lround(q)) + max_sym, with
+// the kernels' one documented divergence, saturation before conversion, so
+// that magnitudes lround cannot represent (and infinities) compare too.
+uint32_t LroundSymbol(double q, uint32_t max_sym) {
+  const long lim = static_cast<long>(max_sym);
+  const double sat = std::clamp(q, -0x1p40, 0x1p40);
+  return static_cast<uint32_t>(std::clamp(std::lround(sat), -lim, lim) + lim);
+}
+
+// Finite inputs, exact ±k.5 ties and their ulp neighbours across and beyond
+// the clamp range, ±0 and ±inf.
+std::vector<double> KernelInputs(uint32_t max_sym) {
+  std::vector<double> xs;
+  for (double x : RoundingInputs(max_sym)) {
+    if (std::isfinite(x)) xs.push_back(x);
+  }
+  const long lim = static_cast<long>(max_sym);
+  for (long k = -lim - 3; k <= lim + 3; ++k) {
+    AddWithNeighbours(xs, static_cast<double>(k));
+    AddWithNeighbours(xs, static_cast<double>(k) + 0.5);
+  }
+  AddWithNeighbours(xs, 0.49999999999999994);
+  for (double x : {0x1p31, 0x1p32, 1e300}) AddWithNeighbours(xs, x);
+  xs.push_back(std::numeric_limits<double>::infinity());
+  xs.push_back(-std::numeric_limits<double>::infinity());
+  return xs;
+}
+
+TEST(RoundingProperty, QuantizeRowEqualsLroundForm) {
+  for (uint32_t max_sym : {static_cast<uint32_t>(KVProfile::kAnchorMaxSym),
+                           static_cast<uint32_t>(KVProfile::kDeltaMaxSym)}) {
+    // q = (double(x) - offset) / sigma / bin. x = 0 with sigma = bin = 1 puts
+    // every double on the rounding step exactly (q = -offset); the random
+    // rows drive the full two-division path.
+    const std::vector<double> qs = KernelInputs(max_sym);
+    const size_t n = qs.size();
+    std::vector<float> x(n, 0.0f);
+    std::vector<double> offset(n), sigma(n, 1.0);
+    std::vector<uint32_t> syms(n);
+    for (size_t i = 0; i < n; ++i) offset[i] = -qs[i];
+    QuantizeRow(x.data(), offset.data(), sigma.data(), 1.0, max_sym, n, syms.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(syms[i], LroundSymbol(qs[i], max_sym))
+          << std::hexfloat << qs[i] << " max_sym " << max_sym;
+    }
+    Rng rng(max_sym);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = static_cast<float>(rng.Gaussian(0.0, 6.0));
+      offset[i] = rng.Gaussian(0.0, 2.0);
+      sigma[i] = rng.Uniform(0.05, 3.0);
+    }
+    const double bin = 0.37;
+    QuantizeRow(x.data(), offset.data(), sigma.data(), bin, max_sym, n, syms.data());
+    for (size_t i = 0; i < n; ++i) {
+      const double q = (static_cast<double>(x[i]) - offset[i]) / sigma[i] / bin;
+      ASSERT_EQ(syms[i], LroundSymbol(q, max_sym)) << std::hexfloat << q;
+    }
+  }
+}
+
+TEST(RoundingProperty, QuantizeAnchorRowEqualsLroundForm) {
+  const uint32_t max_sym = KVProfile::kAnchorMaxSym;
+  // q = double(x) / scale. Float x over ties (k.5 is exact in float) and
+  // their float neighbours at scale 1, then random bit patterns and data
+  // values over random scales.
+  std::vector<float> x;
+  std::vector<double> scale;
+  for (double q : KernelInputs(max_sym)) {
+    const float f = static_cast<float>(q);
+    for (float v : {f, std::nextafter(f, -INFINITY), std::nextafter(f, INFINITY)}) {
+      x.push_back(v);
+      scale.push_back(1.0);
+    }
+  }
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const uint32_t bits = static_cast<uint32_t>(rng.NextU64());
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    if (std::isfinite(f)) {
+      x.push_back(f);
+      scale.push_back(rng.Uniform(1e-3, 4.0));
+    }
+    x.push_back(static_cast<float>(rng.Gaussian(0.0, 3.0)));
+    scale.push_back(rng.Uniform(1e-3, 0.1));
+  }
+  const size_t n = x.size();
+  std::vector<uint32_t> syms(n);
+  std::vector<double> ref(n);
+  QuantizeAnchorRow(x.data(), scale.data(), max_sym, n, syms.data(), ref.data());
+  for (size_t i = 0; i < n; ++i) {
+    const double q = static_cast<double>(x[i]) / scale[i];
+    ASSERT_EQ(syms[i], LroundSymbol(q, max_sym)) << std::hexfloat << x[i] << " / " << scale[i];
+    ASSERT_EQ(ref[i], (static_cast<double>(syms[i]) - max_sym) * scale[i]);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "obs/metrics.h"
 #include "serving/engine.h"
 #include "serving/ttft.h"
 
@@ -49,6 +50,27 @@ TEST_F(ServingTest, CalibrationSane) {
   EXPECT_GT(ratio, 3.0);
   EXPECT_LT(ratio, 5.0);
   EXPECT_GT(calib.quant_quality.at(8), 0.99);
+}
+
+// Calibration scores the closed-loop encoders' reconstructions: it encodes
+// every ladder and layered level and decodes nothing.
+TEST_F(ServingTest, CalibrationDecodesNothing) {
+  auto& registry = obs::MetricsRegistry::Instance();
+  const obs::Counter& decoded = registry.GetCounter("codec.chunks_decoded");
+  const obs::Counter& encoded = registry.GetCounter("codec.chunks_encoded");
+  Engine fresh(MakeOptions(300, 600, 2));
+  const uint64_t decoded_before = decoded.Value();
+  const uint64_t encoded_before = encoded.Value();
+  const CodecCalibration& calib = fresh.calibration();
+  EXPECT_EQ(decoded.Value(), decoded_before);
+#ifndef CACHEGEN_OBS_DISABLED
+  EXPECT_EQ(encoded.Value() - encoded_before,
+            calib.bytes_per_token_per_level.size() +
+                calib.enh_bytes_per_token_per_level.size());
+#else
+  (void)encoded_before;
+  (void)calib;
+#endif
 }
 
 TEST_F(ServingTest, StoreKVPersistsAllChunksAndLevels) {
