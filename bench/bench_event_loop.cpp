@@ -10,6 +10,10 @@
 //      multi-threaded serving core this one replaced. Any change to a
 //      modelled timeline, admission or hit decision breaks it.
 //   3. Determinism: two identical runs are bit-equal.
+//   4. Steady-state allocations: heap allocations per request of a second
+//      Serve() of the determinism trace on one server (reported, not gated
+//      here; test_alloc_budget enforces the budget). The executable counts
+//      through common/counting_new.h.
 //
 // --quick runs the three gates and exits non-zero on failure (wired into
 // Release CI); the full run adds a worker-count sweep table. Either mode
@@ -28,6 +32,7 @@
 #include "bench_common.h"
 #include "cluster/cluster_metrics.h"
 #include "cluster/cluster_server.h"
+#include "common/counting_new.h"
 #include "obs/json_writer.h"
 
 using namespace cachegen;
@@ -203,6 +208,23 @@ int main(int argc, char** argv) {
     failed = true;
   }
 
+  // --- 4. steady-state heap allocations per request ------------------------
+  double allocs_per_req = 0.0;
+  {
+    ClusterServer::Options copts;
+    copts.num_workers = kWorkers;
+    copts.write_back_on_miss = false;
+    ClusterServer server(engine, store, BandwidthTrace::Constant(3.0), copts);
+    server.Serve(PoissonTrace(cmp));  // warm-up: fills the recycled buffers
+    std::vector<ClusterRequest> trace = PoissonTrace(cmp);
+    alloc_count::Start();
+    const auto outcomes = server.Serve(std::move(trace));
+    allocs_per_req = static_cast<double>(alloc_count::Stop()) /
+                     static_cast<double>(outcomes.size());
+  }
+  std::printf("\n-- steady state: %.3f heap allocations per request --\n",
+              allocs_per_req);
+
   // --- full mode: worker-count sweep ---------------------------------------
   if (!quick) {
     std::printf("\n-- event-loop worker sweep (%zu requests) --\n",
@@ -241,6 +263,12 @@ int main(int argc, char** argv) {
     w.Field("req_per_s", ev.count / ev.wall_s);
     w.Field("p95_ttft_s", ev.p95_ttft_s);
     w.Field("deterministic", deterministic ? 1.0 : 0.0);
+    w.EndObject();
+    w.BeginObject();
+    w.Field("level", "steady_state");
+    w.Field("tokens", static_cast<uint64_t>(kCompareRequests));
+    w.Field("threads", static_cast<uint64_t>(kWorkers));
+    w.Field("allocs_per_req", allocs_per_req);
     w.EndObject();
     w.EndArray();
     w.EndObject();

@@ -12,10 +12,11 @@
 //
 // Two details matter as much as the interleaving itself (measured on one
 // Ice Lake core against the codec's per-channel-layer tables):
-//   - lane state must live in registers. Call LaneDecode only from small
-//     call-free leaf loops (see KVDecoder's DecodeSymbolBlock); embedded in
-//     a large function, the lane array spills to the stack and throughput
-//     roughly halves.
+//   - call LaneDecode only from small call-free leaf loops (see KVDecoder's
+//     DecodeSymbolBlock); embedded in a large function with calls around
+//     it, throughput roughly halved. The leaf does not keep the lanes in
+//     registers either: GCC 12 -O3 holds them in a stack array and runs the
+//     lane loop as a runtime loop, one `div` in its body, not unrolled.
 //   - symbol resolution uses FreqTable's bucket index, not the 2^16 direct
 //     array: with thousands of live tables the direct arrays thrash every
 //     cache level (measured 5x slower than even binary search), while all

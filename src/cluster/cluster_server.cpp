@@ -20,6 +20,32 @@ namespace {
 // trace tracks are therefore id + 1 ("request 1" is trace id 0).
 uint64_t TraceTrack(const ClusterRequest& rq) { return rq.id + 1; }
 
+// A request's stream wired into the event loop: GPU stages go to its flow's
+// lane, and every finished transfer advances its FSM.
+class FlowHooks final : public StreamHooks {
+ public:
+  FlowHooks(SharedLink& link, SharedLink::FlowId flow, RequestFsm& fsm)
+      : link_(link), flow_(flow), fsm_(fsm) {}
+
+  void PostGpu(double arrival_s, double const_s, double shared_s) override {
+    link_.PostGpuWork(flow_, arrival_s, const_s, shared_s);
+  }
+  Task<std::span<const double>> DrainGpu() override {
+    co_return co_await link_.DrainGpu(flow_);
+  }
+  void OnTransfer(const StreamStep& step) override {
+    if (step.enhancement && fsm_.state() == RequestState::kKvStreaming) {
+      fsm_.Feed(RequestEvent::kEnhance, step.tx_start_s);
+    }
+    fsm_.Feed(RequestEvent::kChunkTransferDone, step.tx_end_s);
+  }
+
+ private:
+  SharedLink& link_;
+  SharedLink::FlowId flow_;
+  RequestFsm& fsm_;
+};
+
 }  // namespace
 
 ClusterServer::ClusterServer(Engine& engine, std::shared_ptr<CacheTier> tier,
@@ -260,7 +286,7 @@ Task<> ClusterServer::ServeRequest(ClusterRequest rq, size_t worker,
   PinGuard pin =
       look.pinned ? PinGuard::Adopt(*tier_, rq.context_id) : PinGuard();
 
-  const ContextPlan plan = engine_.PlanFromCalibration(rq.spec.num_tokens);
+  const ContextPlan& plan = PlanFor(rq.spec.num_tokens);
   const double slo = rq.slo_s;  // resolved against the default in Serve()
   const double queue_delay = admit_s - rq.arrival_s;
   // The adapter works against whatever SLO budget queueing has left.
@@ -299,19 +325,7 @@ Task<> ClusterServer::ServeRequest(ClusterRequest rq, size_t worker,
   if (cold) cold_client.emplace(net, opts_.cold_read_gbps, opts_.cold_seek_s);
   Link& path = cold ? static_cast<Link&>(*cold_client) : net;
 
-  StreamHooks hooks;
-  hooks.post_gpu = [&](double arrival_s, double const_s, double shared_s) {
-    link_->PostGpuWork(flow, arrival_s, const_s, shared_s);
-  };
-  hooks.drain_gpu = [&]() -> Task<std::vector<double>> {
-    co_return co_await link_->DrainGpu(flow);
-  };
-  hooks.on_transfer = [&](const StreamStep& step) {
-    if (step.enhancement && fsm.state() == RequestState::kKvStreaming) {
-      fsm.Feed(RequestEvent::kEnhance, step.tx_start_s);
-    }
-    fsm.Feed(RequestEvent::kChunkTransferDone, step.tx_end_s);
-  };
+  FlowHooks hooks(*link_, flow, fsm);
   const StreamResult sr = co_await streamer.Stream(plan, path, gpu_share, hint,
                                                    mode, kv_limit, &hooks);
 
@@ -421,7 +435,15 @@ Task<> ClusterServer::ServeRequest(ClusterRequest rq, size_t worker,
     }
     pin.Release();
   }
-  out.answer_correct = engine_.GenerateWithKV(rq.spec, sr.quality).correct;
+  out.answer_correct = Engine::AnswerCorrect(rq.spec, sr.quality);
+}
+
+const ContextPlan& ClusterServer::PlanFor(size_t tokens) {
+  auto it = plans_.find(tokens);
+  if (it == plans_.end()) {
+    it = plans_.emplace(tokens, engine_.PlanFromCalibration(tokens)).first;
+  }
+  return it->second;
 }
 
 // --- per-request metrics + continuous telemetry ------------------------------

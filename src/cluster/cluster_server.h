@@ -70,6 +70,7 @@
 
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "cluster/cluster_metrics.h"
 #include "cluster/request_queue.h"
@@ -211,11 +212,16 @@ class ClusterServer {
   void RunCoordinator(RequestQueue& queue, std::vector<RequestOutcome>* outcomes);
   // One request end to end as a coroutine: lookup and pin, stream (GPU priced
   // per event), write back, complete the flow, then the codec tail
-  // (assembly, generation).
+  // (assembly, the answer-correctness draw).
   Task<> ServeRequest(ClusterRequest rq, size_t worker, size_t outcome,
                       double admit_s, double gpu_share,
                       std::vector<RequestOutcome>* outcomes,
                       std::vector<Completion>* completions);
+
+  // The calibration-priced plan for a context of `tokens`, memoized: the
+  // engine's calibration never changes once built, so neither does the plan.
+  // References stay valid for the server's lifetime.
+  const ContextPlan& PlanFor(size_t tokens);
 
   // The per-request cluster.* metric block, recorded by the coordinator per
   // popped completion (after TimeSeriesCollector::AdvanceTo), so metric
@@ -234,6 +240,7 @@ class ClusterServer {
   BandwidthTrace capacity_;
   Options opts_;
   std::unique_ptr<SharedLink> link_;
+  std::unordered_map<size_t, ContextPlan> plans_;  // PlanFor's memo
 
   // Telemetry state of the current/last run (see TelemetryOptions).
   std::unique_ptr<obs::TimeSeriesCollector> series_;

@@ -81,18 +81,18 @@ double RequestQueue::NextArrival() const {
 }
 
 ClusterRequest RequestQueue::PopReady(const SchedulerPolicy& policy, double t_s) {
-  std::vector<const ClusterRequest*> candidates;
-  std::vector<size_t> indices;
+  candidates_.clear();
+  indices_.clear();
   for (size_t i = first_unadmitted_; i < requests_.size(); ++i) {
     if (admitted_[i]) continue;
     if (requests_[i].arrival_s > t_s) break;  // sorted by arrival
-    candidates.push_back(&requests_[i]);
-    indices.push_back(i);
+    candidates_.push_back(&requests_[i]);
+    indices_.push_back(i);
   }
-  if (candidates.empty()) {
+  if (candidates_.empty()) {
     throw std::logic_error("RequestQueue::PopReady: no eligible request");
   }
-  const size_t pick = indices.at(policy.Pick(candidates, t_s));
+  const size_t pick = indices_.at(policy.Pick(candidates_, t_s));
   admitted_[pick] = true;
   --remaining_;
   while (first_unadmitted_ < requests_.size() && admitted_[first_unadmitted_]) {

@@ -70,6 +70,10 @@ class RequestQueue {
   std::vector<bool> admitted_;
   size_t remaining_ = 0;
   size_t first_unadmitted_ = 0;  // index lower bound for scanning
+  // PopReady's eligible set, reused across calls: the policy's view, and
+  // each candidate's index into requests_.
+  std::vector<const ClusterRequest*> candidates_;
+  std::vector<size_t> indices_;
 };
 
 }  // namespace cachegen

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -20,7 +21,18 @@ SharedLink::SharedLink(BandwidthTrace capacity) : capacity_(std::move(capacity))
 void SharedLink::SetGpuSlots(size_t n) { gpu_slots_ = n; }
 
 void SharedLink::AddGpuSharer(double t_s) {
-  gpu_events_[std::max(t_s, now_s_)] += 1;
+  AddLedgerEvent(std::max(t_s, now_s_), +1);
+}
+
+void SharedLink::AddLedgerEvent(double t_s, int delta) {
+  const auto it = std::lower_bound(
+      gpu_events_.begin(), gpu_events_.end(), t_s,
+      [](const std::pair<double, int>& e, double t) { return e.first < t; });
+  if (it != gpu_events_.end() && it->first == t_s) {
+    it->second += delta;
+  } else {
+    gpu_events_.insert(it, {t_s, delta});
+  }
 }
 
 void SharedLink::PostGpuWork(FlowId id, double arrival_s, double const_s,
@@ -29,13 +41,13 @@ void SharedLink::PostGpuWork(FlowId id, double arrival_s, double const_s,
   item.arrival_s = std::max(arrival_s, 0.0);
   item.const_rem = std::max(const_s, 0.0);
   item.shared_rem = std::max(shared_s, 0.0);
-  flows_.at(id).lane.push_back(item);
+  Find(id).lane.push_back(item);
 }
 
-SharedLink::Op<std::vector<double>> SharedLink::DrainGpu(FlowId id) {
-  Flow& f = flows_.at(id);
+SharedLink::Op<std::span<const double>> SharedLink::DrainGpu(FlowId id) {
+  Flow& f = Find(id);
   f.end_s = f.clock;
-  if (!f.lane.empty()) {
+  if (!f.LaneEmpty()) {
     f.t_start = f.clock;
     f.remaining = 0.0;
     f.wake_at = -1.0;
@@ -44,11 +56,12 @@ SharedLink::Op<std::vector<double>> SharedLink::DrainGpu(FlowId id) {
   return {*this, f};
 }
 
-std::vector<double> SharedLink::CollectDrain(Flow& f) {
+std::span<const double> SharedLink::CollectDrain(Flow& f) {
   f.clock = f.end_s;
-  std::vector<double> out = std::move(f.gpu_done);
+  // Hand the instants over by swapping buffers, so both keep their capacity.
+  f.drained.swap(f.gpu_done);
   f.gpu_done.clear();
-  return out;
+  return f.drained;
 }
 
 double SharedLink::GpuShareAt(double t_s) const {
@@ -63,17 +76,60 @@ double SharedLink::GpuShareAt(double t_s) const {
 
 SharedLink::FlowId SharedLink::Register(double start_s, double weight) {
   const FlowId id = next_flow_++;
-  Flow& f = flows_[id];
+  Flow* slot;
+  if (free_.empty()) {
+    slots_.push_back(std::make_unique<Flow>());
+    slot = slots_.back().get();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Flow& f = *slot;
+  // A recycled slot keeps its buffers' capacity; every other field starts
+  // afresh.
+  f.id = id;
   f.clock = std::max(start_s, now_s_);
   f.weight = weight > 0.0 ? weight : 1.0;
+  f.pending = Pending::kNone;
+  f.bytes = 0.0;
+  f.remaining = 0.0;
+  f.wake_at = -1.0;
+  f.t_start = 0.0;
+  f.end_s = 0.0;
+  f.waiter = {};
   f.track = obs::ScopedRequestId::Current();
+  f.lane.clear();
+  f.lane_head = 0;
+  f.lane_ready = 0.0;
+  f.gpu_done.clear();
+  f.drained.clear();
+  live_.push_back(slot);  // ids increase, so live_ stays sorted
   return id;
 }
 
-void SharedLink::Deregister(FlowId id) { flows_.erase(id); }
+SharedLink::Flow& SharedLink::Find(FlowId id) const {
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), id,
+      [](const Flow* f, FlowId want) { return f->id < want; });
+  if (it == live_.end() || (*it)->id != id) {
+    throw std::out_of_range("SharedLink: unknown flow");
+  }
+  return **it;
+}
+
+void SharedLink::Remove(FlowId id) {
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), id,
+      [](const Flow* f, FlowId want) { return f->id < want; });
+  if (it == live_.end() || (*it)->id != id) return;
+  free_.push_back(*it);
+  live_.erase(it);
+}
+
+void SharedLink::Deregister(FlowId id) { Remove(id); }
 
 SharedLink::Op<TransferRecord> SharedLink::Transfer(FlowId id, double bytes) {
-  Flow& f = flows_.at(id);
+  Flow& f = Find(id);
   f.t_start = std::max(f.clock, now_s_);
   f.bytes = bytes;
   f.remaining = std::max(bytes, 0.0);
@@ -103,7 +159,7 @@ TransferRecord SharedLink::CollectTransfer(Flow& f) {
 }
 
 SharedLink::Op<void> SharedLink::WaitUntil(FlowId id, double t_s) {
-  Flow& f = flows_.at(id);
+  Flow& f = Find(id);
   f.end_s = f.clock;
   if (t_s > f.clock + kTimeEps) {
     f.t_start = f.clock;
@@ -115,11 +171,11 @@ SharedLink::Op<void> SharedLink::WaitUntil(FlowId id, double t_s) {
 }
 
 double SharedLink::CompleteFlow(FlowId id, double free_s) {
-  flows_.erase(id);
+  Remove(id);
   const double t = std::max(free_s, now_s_);
   // Ledger -1 at the free instant: every surviving lane is priced at the
   // higher share from this instant onward.
-  gpu_events_[t] -= 1;
+  AddLedgerEvent(t, -1);
   return t;
 }
 
@@ -150,11 +206,14 @@ double SharedLink::GpuShare() const {
 }
 
 void SharedLink::FoldGpuLedger() {
-  while (!gpu_events_.empty() &&
-         gpu_events_.begin()->first <= now_s_ + kTimeEps) {
-    gpu_base_inflight_ += gpu_events_.begin()->second;
-    gpu_events_.erase(gpu_events_.begin());
+  size_t settled = 0;
+  while (settled < gpu_events_.size() &&
+         gpu_events_[settled].first <= now_s_ + kTimeEps) {
+    gpu_base_inflight_ += gpu_events_[settled].second;
+    ++settled;
   }
+  gpu_events_.erase(gpu_events_.begin(),
+                    gpu_events_.begin() + static_cast<ptrdiff_t>(settled));
 }
 
 double SharedLink::NextSegmentBoundaryAfter(double t_s) const {
@@ -167,10 +226,10 @@ double SharedLink::NextSegmentBoundaryAfter(double t_s) const {
 bool SharedLink::Advance(double limit_s) {
   bool progressed = false;
   for (;;) {
-    if (flows_.empty()) return progressed;
-    for (const auto& [id, f] : flows_) {
+    if (live_.empty()) return progressed;
+    for (const Flow* f : live_) {
       // A coroutine is mid-computation (or has yet to be resumed): freeze.
-      if (f.pending == Pending::kNone) return progressed;
+      if (f->pending == Pending::kNone) return progressed;
     }
 
     // Every ledger event at or before now is settled; fold it into the base
@@ -180,16 +239,17 @@ bool SharedLink::Advance(double limit_s) {
     // Wake waiters whose instant has been reached (even at the limit).
     bool completed = false;
     double dormant_t = kInf, wake_t = kInf;
-    std::vector<Flow*> active;  // in FlowId order
-    for (auto& [id, f] : flows_) {
+    active_.clear();
+    for (Flow* fp : live_) {
+      Flow& f = *fp;
       if (f.remaining > 0.0) {
         if (f.clock > now_s_ + kTimeEps) {
           dormant_t = std::min(dormant_t, f.clock);  // admitted in the future
         } else {
-          active.push_back(&f);
+          active_.push_back(&f);
         }
       } else if (f.pending == Pending::kDrain) {
-        if (f.lane.empty()) {
+        if (f.LaneEmpty()) {
           Finish(f, std::max(f.clock, now_s_));
           completed = true;
         }
@@ -211,37 +271,38 @@ bool SharedLink::Advance(double limit_s) {
     // The GPU share changes at the next ledger instant; no lane segment may
     // integrate across it.
     if (!gpu_events_.empty()) {
-      t_next = std::min(t_next, gpu_events_.begin()->first);
+      t_next = std::min(t_next, gpu_events_.front().first);
     }
 
     // GPU lane heads: project each startable head's completion at the
     // current share; future starts are boundaries of their own.
     const double share = GpuShare();
-    std::vector<std::pair<Flow*, double>> gpu_heads;  // flow -> projected fin
+    gpu_heads_.clear();  // flow -> projected finish
     double min_gpu_finish = kInf;
-    for (auto& [id, f] : flows_) {
-      if (f.lane.empty()) continue;
-      const GpuItem& head = f.lane.front();
+    for (Flow* fp : live_) {
+      Flow& f = *fp;
+      if (f.LaneEmpty()) continue;
+      const GpuItem& head = f.LaneFront();
       const double start = std::max(head.arrival_s, f.lane_ready);
       if (start > now_s_ + kTimeEps) {
         t_next = std::min(t_next, start);
         continue;
       }
       const double fin = now_s_ + head.const_rem + head.shared_rem / share;
-      gpu_heads.emplace_back(&f, fin);
+      gpu_heads_.emplace_back(&f, fin);
       min_gpu_finish = std::min(min_gpu_finish, fin);
     }
 
     const double cap_bps = capacity_.BytesPerSecAt(now_s_);
     double weight_sum = 0.0;
-    for (const Flow* f : active) weight_sum += f->weight;
-    std::vector<double> finish(active.size(), kInf);
+    for (const Flow* f : active_) weight_sum += f->weight;
+    finish_.assign(active_.size(), kInf);
     double min_bw_finish = kInf;
     if (cap_bps > 0.0) {
-      for (size_t i = 0; i < active.size(); ++i) {
-        const double rate = cap_bps * active[i]->weight / weight_sum;
-        finish[i] = now_s_ + active[i]->remaining / rate;
-        min_bw_finish = std::min(min_bw_finish, finish[i]);
+      for (size_t i = 0; i < active_.size(); ++i) {
+        const double rate = cap_bps * active_[i]->weight / weight_sum;
+        finish_[i] = now_s_ + active_[i]->remaining / rate;
+        min_bw_finish = std::min(min_bw_finish, finish_[i]);
       }
     }
     // else dead air: transfers drain nothing until the next capacity segment.
@@ -258,9 +319,9 @@ bool SharedLink::Advance(double limit_s) {
 
     const double dt = t_next - now_s_;
     if (cap_bps > 0.0) {
-      for (size_t i = 0; i < active.size(); ++i) {
-        Flow* f = active[i];
-        if (finish_event && finish[i] <= finish_tol) {
+      for (size_t i = 0; i < active_.size(); ++i) {
+        Flow* f = active_[i];
+        if (finish_event && finish_[i] <= finish_tol) {
           f->remaining = 0.0;
           Finish(*f, t_next);
           completed = true;
@@ -270,12 +331,12 @@ bool SharedLink::Advance(double limit_s) {
         }
       }
     }
-    for (auto& [f, fin] : gpu_heads) {
-      GpuItem& head = f->lane.front();
+    for (auto& [f, fin] : gpu_heads_) {
+      GpuItem& head = f->LaneFront();
       if (finish_event && fin <= finish_tol) {
         f->gpu_done.push_back(t_next);
         f->lane_ready = t_next;
-        f->lane.pop_front();
+        f->PopLane();
         // Waking a drained flow (lane now empty) happens at the top of the
         // next iteration; a mid-stream lane pop wakes nobody.
       } else {

@@ -39,14 +39,27 @@
 // advances, so by the time Advance walks a segment the ledger over that
 // segment is complete. DrainGpu suspends the flow until its lane is empty
 // and hands back the per-item completion instants.
+//
+// Storage (allocation-free once warm). Flows live in recycled slots: each
+// slot is allocated once, so a Flow's address is stable for its whole life
+// (an awaiting Op holds a Flow&), and a deregistered flow's slot goes on a
+// free list with its lane and completion buffers keeping their capacity.
+// The registered flows are also kept in a vector sorted by FlowId — ids are
+// issued in increasing order, so Register appends — which Advance walks and
+// lookups binary-search. The GPU ledger is a small vector of (instant,
+// delta) pairs sorted by instant, and Advance's per-iteration working sets
+// are members that are cleared, not rebuilt. A serving loop whose flow
+// count stays within what it has seen before therefore allocates nothing
+// here.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <map>
+#include <memory>
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/bandwidth_trace.h"
@@ -99,8 +112,9 @@ class SharedLink {
   // advances.
   void PostGpuWork(FlowId id, double arrival_s, double const_s, double shared_s);
   // Suspend until the flow's lane is empty; yields the completion instant of
-  // every item posted since the last drain, in post order.
-  Op<std::vector<double>> DrainGpu(FlowId id);
+  // every item posted since the last drain, in post order. The view stays
+  // valid until the flow's next drain or its removal.
+  Op<std::span<const double>> DrainGpu(FlowId id);
   // Ledger introspection (tests): share in effect at instant t_s. Only
   // instants <= now() are guaranteed settled.
   double GpuShareAt(double t_s) const;
@@ -119,7 +133,7 @@ class SharedLink {
   // Hold the flow until virtual time `t_s` without consuming bandwidth.
   Op<void> WaitUntil(FlowId id, double t_s);
 
-  double FlowClock(FlowId id) const { return flows_.at(id).clock; }
+  double FlowClock(FlowId id) const { return Find(id).clock; }
 
   // Remove the flow of a request that frees its slot at `free_s`, and record
   // the matching ledger -1 there. Returns the instant, clamped to now().
@@ -138,7 +152,7 @@ class SharedLink {
   // --- introspection --------------------------------------------------------
   double now() const { return now_s_; }
   double CapacityGbpsAt(double t_s) const { return capacity_.GbpsAt(t_s); }
-  size_t ActiveFlows() const { return flows_.size(); }
+  size_t ActiveFlows() const { return live_.size(); }
   const BandwidthTrace& capacity() const { return capacity_; }
 
  private:
@@ -151,6 +165,7 @@ class SharedLink {
   };
 
   struct Flow {
+    FlowId id = 0;
     double clock = 0.0;      // flow-local time: end of last finished operation
     double weight = 1.0;
     Pending pending = Pending::kNone;  // operation the flow's coroutine awaits
@@ -161,9 +176,22 @@ class SharedLink {
     double end_s = 0.0;      // finished operation's completion time
     std::coroutine_handle<> waiter;  // the suspended coroutine
     uint64_t track = 0;              // obs::ScopedRequestId to resume under
-    std::deque<GpuItem> lane;       // FIFO GPU work queue
+    // FIFO GPU work queue: items lane[lane_head..] are pending. Both are
+    // reset (capacity kept) once the lane runs empty.
+    std::vector<GpuItem> lane;
+    size_t lane_head = 0;
     double lane_ready = 0.0;        // completion instant of the popped head
     std::vector<double> gpu_done;   // per-item completion instants, post order
+    std::vector<double> drained;    // the last drain's instants (its result)
+
+    bool LaneEmpty() const { return lane_head == lane.size(); }
+    GpuItem& LaneFront() { return lane[lane_head]; }
+    void PopLane() {
+      if (++lane_head == lane.size()) {
+        lane.clear();
+        lane_head = 0;
+      }
+    }
   };
 
   struct Ready {
@@ -175,7 +203,13 @@ class SharedLink {
   void Finish(Flow& f, double end_s);
   // Results of finished operations (the awaiter's await_resume).
   TransferRecord CollectTransfer(Flow& f);
-  std::vector<double> CollectDrain(Flow& f);
+  std::span<const double> CollectDrain(Flow& f);
+  // The registered flow `id`; throws std::out_of_range when there is none.
+  Flow& Find(FlowId id) const;
+  // Unlink a registered flow and park its slot for reuse (no-op if absent).
+  void Remove(FlowId id);
+  // Ledger delta at instant t_s (merged into an existing entry at t_s).
+  void AddLedgerEvent(double t_s, int delta);
   double NextSegmentBoundaryAfter(double t_s) const;
   // Share in effect at now_s_ (call after FoldGpuLedger).
   double GpuShare() const;
@@ -184,15 +218,22 @@ class SharedLink {
 
   BandwidthTrace capacity_;
   double now_s_ = 0.0;
-  std::map<FlowId, Flow> flows_;
+  std::vector<std::unique_ptr<Flow>> slots_;  // every flow slot ever made
+  std::vector<Flow*> free_;                   // parked slots, ready for reuse
+  std::vector<Flow*> live_;                   // registered flows, FlowId order
   std::vector<Ready> ready_;     // queued by Advance, in FlowId order
   std::vector<Ready> resuming_;  // the batch ResumeReady is resuming
   FlowId next_flow_ = 1;
   size_t gpu_slots_ = 0;  // 0 = uncapped
   // In-flight count settled through now_s_.
   int gpu_base_inflight_ = 0;
-  // Future ledger deltas, instant -> net.
-  std::map<double, int> gpu_events_;
+  // Future ledger deltas (instant, net), sorted by instant. An instant whose
+  // deltas cancel keeps its entry: it still bounds lane segments.
+  std::vector<std::pair<double, int>> gpu_events_;
+  // Advance's working sets, cleared on every iteration.
+  std::vector<Flow*> active_;                        // transferring, id order
+  std::vector<double> finish_;                       // their projected finish
+  std::vector<std::pair<Flow*, double>> gpu_heads_;  // startable lane heads
 };
 
 // Adapter presenting one SharedLink flow through the Link interface, so the

@@ -35,11 +35,13 @@ KVDecoder::KVDecoder(std::shared_ptr<const KVProfile> profile,
 namespace {
 
 // Decode `rows` positions x C channels x L lanes of symbols into `syms`
-// (layout syms[(r*L + j)*C + c]). Kept out-of-line and call-free on purpose:
-// inside the large batch function, surrounding calls force the lane array
-// onto the stack, and a memory-resident lane state roughly halves decode
-// throughput; in this leaf the lanes live in registers. L is compile-time so
-// the per-symbol `for j < L` loop fully unrolls.
+// (layout syms[(r*L + j)*C + c]). Kept out-of-line and call-free on purpose
+// (see ac/lane_decoder.h). What GCC 12 emits at -O3: the lanes are copied
+// into a local array on the stack, and the per-symbol `for j < L` loop stays
+// a runtime loop over that array. It is not unrolled, and the lane state is
+// not held in registers. Each instance, and its .constprop clone, has one
+// `div` in its loop body. The lanes' dependency chains are still
+// independent, so consecutive iterations overlap in the core.
 template <size_t L>
 [[gnu::noinline]] void DecodeSymbolBlock(DecodeLane* lanes,
                                          const uint32_t* const* cum,
@@ -61,11 +63,12 @@ template <size_t L>
   for (size_t j = 0; j < L; ++j) lanes[j] = ln[j];
 }
 
-// Lane count as a compile-time constant so the per-symbol lane loops fully
-// unroll. Symbol decode runs in row blocks through DecodeSymbolBlock; value
-// reconstruction then replays the symbol buffer through the same
-// vectorizable kernels (and the same double expressions) as the
-// single-stream path.
+// Lane count as a compile-time constant, which sizes the lane arrays and
+// fixes the lane loops' trip count (GCC does not unroll them; see
+// DecodeSymbolBlock). Symbol decode runs in row blocks through
+// DecodeSymbolBlock; value reconstruction then replays the symbol buffer
+// through the same vectorizable kernels (and the same double expressions)
+// as the single-stream path.
 template <size_t L>
 void DecodeGroupBatchImpl(const TableSet& tables, const EncodedChunk& chunk,
                           size_t g0, size_t rows, KVCache& out) {

@@ -13,13 +13,42 @@
 // hands back the result; Get() on a task still suspended is a logic error.
 // Single-threaded by design: a Task is created, awaited and resumed on one
 // thread.
+//
+// Frame recycling. Every call to a Task coroutine needs a frame, and the
+// serving loop makes several per request (the request itself, its stream,
+// each link send or wait, the GPU drain). Frames are therefore recycled
+// through a thread-local free list per 64-byte size class: a freed frame of
+// up to 4 KiB goes onto its class's list and the next frame of that class
+// reuses it, so a steady-state loop allocates no frame memory at all. The
+// lists keep at most as many frames as were ever live at once on the
+// thread, and are returned to the heap when the thread exits. Under
+// AddressSanitizer a parked frame is poisoned, so a use after the frame was
+// destroyed is still reported.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <stdexcept>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CACHEGEN_TASK_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CACHEGEN_TASK_ASAN 1
+#endif
+#endif
+#ifdef CACHEGEN_TASK_ASAN
+#include <sanitizer/asan_interface.h>
+#define CACHEGEN_FRAME_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define CACHEGEN_FRAME_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define CACHEGEN_FRAME_POISON(p, n) ((void)(p), (void)(n))
+#define CACHEGEN_FRAME_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
 
 namespace cachegen {
 
@@ -28,7 +57,81 @@ class Task;
 
 namespace task_detail {
 
+// The thread-local frame free lists (see "Frame recycling" above).
+class FramePool {
+ public:
+  static void* Allocate(std::size_t n) {
+    const std::size_t c = Class(n);
+    Lists& l = lists();
+    if (c == 0 || c >= kClasses || l.dead) return ::operator new(n);
+    Node* node = l.head[c];
+    if (node == nullptr) return ::operator new(c * kGranule);
+    CACHEGEN_FRAME_UNPOISON(node, c * kGranule);
+    l.head[c] = node->next;
+    return node;
+  }
+
+  static void Free(void* p, std::size_t n) noexcept {
+    const std::size_t c = Class(n);
+    Lists& l = lists();
+    if (c == 0 || c >= kClasses || l.dead) {
+      ::operator delete(p);
+      return;
+    }
+    if (!l.reaper_armed) {
+      // First frame parked on this thread: make sure the lists go back to
+      // the heap when it exits.
+      l.reaper_armed = true;
+      static thread_local Reaper reaper;
+      (void)reaper;
+    }
+    Node* node = static_cast<Node*>(p);
+    node->next = l.head[c];
+    l.head[c] = node;
+    CACHEGEN_FRAME_POISON(node, c * kGranule);
+  }
+
+ private:
+  static constexpr std::size_t kGranule = 64;
+  static constexpr std::size_t kClasses = 65;  // classes 1..64: up to 4 KiB
+
+  struct Node {
+    Node* next;
+  };
+  // Trivially destructible, so it stays usable while other thread-local
+  // objects are destroyed; `dead` sends late frees straight to the heap.
+  struct Lists {
+    Node* head[kClasses];
+    bool reaper_armed;
+    bool dead;
+  };
+  struct Reaper {
+    ~Reaper() {
+      Lists& l = lists();
+      l.dead = true;
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        while (Node* node = l.head[c]) {
+          CACHEGEN_FRAME_UNPOISON(node, c * kGranule);
+          l.head[c] = node->next;
+          ::operator delete(node);
+        }
+      }
+    }
+  };
+
+  static std::size_t Class(std::size_t n) { return (n + kGranule - 1) / kGranule; }
+  static Lists& lists() {
+    static thread_local Lists l{};
+    return l;
+  }
+};
+
 struct PromiseBase {
+  static void* operator new(std::size_t n) { return FramePool::Allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::Free(p, n);
+  }
+
   std::coroutine_handle<> continuation;
   std::exception_ptr error;
 

@@ -50,8 +50,9 @@ class Link {
 
  protected:
   // For subclasses (e.g. SharedLink clients) whose timing does not come from
-  // a private trace; the placeholder trace is never consulted by them.
-  Link() : trace_(BandwidthTrace::Constant(1.0)), now_s_(0.0) {}
+  // a private trace; they never consult the (empty) trace, so building one
+  // per request costs nothing.
+  Link() : now_s_(0.0) {}
 
   BandwidthTrace trace_;
   double now_s_;

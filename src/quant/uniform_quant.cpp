@@ -1,7 +1,7 @@
 #include "quant/uniform_quant.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace cachegen {
@@ -25,12 +25,20 @@ UniformQuantized UniformQuantizer::Quantize(std::span<const float> xs) const {
   q.min = mn;
   q.scale = levels > 0 && mx > mn ? (mx - mn) / static_cast<float>(levels) : 1.0f;
 
-  q.symbols.reserve(xs.size());
-  for (float x : xs) {
-    const float f = (x - q.min) / q.scale;
-    const uint32_t s = static_cast<uint32_t>(
-        std::clamp(std::lround(f), 0L, static_cast<long>(levels)));
-    q.symbols.push_back(s);
+  // std::lround without the libm call, as in QuantizeRow: x >= min, so the
+  // quotient is >= 0; capped at levels + 1 it converts to int32 safely, and
+  // f - trunc(f) is exact by Sterbenz, so its doubling truncates to 1
+  // exactly when the fraction is >= 0.5 (half away from zero).
+  const int32_t max_s = static_cast<int32_t>(levels);
+  const float cap = static_cast<float>(levels) + 1.0f;
+  q.symbols.resize(xs.size());
+  uint32_t* out = q.symbols.data();
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float f = std::min((xs[i] - q.min) / q.scale, cap);
+    const int32_t t = static_cast<int32_t>(f);  // truncation toward zero
+    const float frac = f - static_cast<float>(t);
+    const int32_t s = t + static_cast<int32_t>(frac + frac);
+    out[i] = static_cast<uint32_t>(std::clamp(s, 0, max_s));
   }
   return q;
 }

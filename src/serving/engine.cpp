@@ -207,13 +207,17 @@ KVCache Engine::AssembleKV(const std::string& context_id, const ContextSpec& ctx
   return out;
 }
 
-GenerateResult Engine::GenerateWithKV(const ContextSpec& ctx, double quality) const {
-  GenerateResult out;
-  out.quality = quality;
+bool Engine::AnswerCorrect(const ContextSpec& ctx, double quality) {
   // Deterministic correctness draw: the same context and quality always
   // reproduce the same outcome (useful for the Fig. 17-style demo).
   Rng rng(ctx.seed ^ 0xD06F00DULL);
-  out.correct = rng.NextDouble() < quality;
+  return rng.NextDouble() < quality;
+}
+
+GenerateResult Engine::GenerateWithKV(const ContextSpec& ctx, double quality) const {
+  GenerateResult out;
+  out.quality = quality;
+  out.correct = AnswerCorrect(ctx, quality);
   const std::string topic = "topic-" + std::to_string(ctx.seed % 97);
   out.text = out.correct
                  ? "The first topic we discussed was " + topic + "."
@@ -298,7 +302,9 @@ ContextPlan Engine::PlanFromCalibration(size_t tokens) {
   plan.quality_per_level = calib.quality_per_level;
   plan.quality_enhanced_per_level = calib.quality_enhanced_per_level;
   plan.text_bytes_per_token = calib.text_bytes_per_token;
-  for (const ChunkRange& range : SplitIntoChunks(tokens, opts_.chunk_tokens)) {
+  const std::vector<ChunkRange> ranges = SplitIntoChunks(tokens, opts_.chunk_tokens);
+  plan.chunks.reserve(ranges.size());
+  for (const ChunkRange& range : ranges) {
     ChunkPlan cp;
     cp.range = range;
     cp.bytes_per_level.reserve(calib.bytes_per_token_per_level.size());

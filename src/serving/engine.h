@@ -104,6 +104,9 @@ class Engine {
   // quality factor `quality`; answer correctness is deterministic in
   // (context seed, quality threshold).
   GenerateResult GenerateWithKV(const ContextSpec& ctx, double quality) const;
+  // The correctness draw alone (what GenerateWithKV reports as `correct`),
+  // without building the answer text.
+  static bool AnswerCorrect(const ContextSpec& ctx, double quality);
 
   // Offline codec calibration (lazy, cached): per-level sizes/quality and
   // the quantization baseline curve, feeding TTFTModel and the benches.
@@ -123,7 +126,10 @@ class Engine {
 
   // Streaming plan for a context of `tokens`, priced from the codec
   // calibration instead of re-encoding — what the cluster and the sweeps use
-  // when only sizes and quality factors matter (thread-safe).
+  // when only sizes and quality factors matter (thread-safe). The result
+  // depends only on `tokens` once the calibration exists, so a caller
+  // planning many requests may memoize it by token count (ClusterServer
+  // does).
   ContextPlan PlanFromCalibration(size_t tokens);
 
   // Encoder/decoder for a given level id (shared TableSets). The full ladder

@@ -32,28 +32,20 @@ AdaptDecision Adapter::Choose(const ContextPlan& plan, size_t next_chunk,
   const double remaining_s = slo_s_ - elapsed_s;
 
   // Expected delays for every configuration, in quality order: text first
-  // (lossless), then levels fine -> coarse.
+  // (lossless), then levels fine -> coarse. Algorithm 1: the first (least
+  // compression loss) whose projected completion still meets the SLO; if
+  // nothing fits, minimize the damage with the fastest (earliest on ties).
   const double text_s =
       RecomputeSeconds(plan, next_chunk, throughput_bytes_per_s, gpu_share);
-  std::vector<std::pair<StreamConfig, double>> options;
-  options.reserve(num_levels_ + 1);
-  options.push_back({{true, 0}, text_s});
+  AdaptDecision best{{true, 0}, text_s, false, 0.0};
+  if (text_s <= remaining_s) return {best.config, text_s, true, remaining_s - text_s};
   for (size_t level = 0; level < num_levels_; ++level) {
-    const double bytes = plan.BytesAtLevel(next_chunk, static_cast<int>(level));
-    options.push_back(
-        {{false, static_cast<int>(level)}, bytes / throughput_bytes_per_s});
-  }
-
-  // Algorithm 1: least compression loss whose projected completion still
-  // meets the SLO.
-  for (const auto& [config, expected] : options) {
+    const StreamConfig config{false, static_cast<int>(level)};
+    const double expected =
+        plan.BytesAtLevel(next_chunk, config.level_id) / throughput_bytes_per_s;
     if (expected <= remaining_s) {
       return {config, expected, true, remaining_s - expected};
     }
-  }
-  // Nothing fits: minimize the damage (fastest configuration).
-  AdaptDecision best{options.front().first, options.front().second, false, 0.0};
-  for (const auto& [config, expected] : options) {
     if (expected < best.expected_remaining_s) best = {config, expected, false, 0.0};
   }
   return best;

@@ -28,7 +28,7 @@ Task<StreamResult> KVStreamer::Stream(const ContextPlan& plan, Link& link,
                                       double gpu_share,
                                       std::optional<double> throughput_hint_gbps,
                                       StreamMode mode, size_t kv_chunk_limit,
-                                      const StreamHooks* hooks) const {
+                                      StreamHooks* hooks) const {
   StreamResult result;
   const double t0 = link.now();
   double gpu_free_s = t0;
@@ -39,15 +39,10 @@ Task<StreamResult> KVStreamer::Stream(const ContextPlan& plan, Link& link,
   // Per-event GPU accounting: post every GPU stage to the arbiter's lane and
   // resolve the whole queue once at end of stream, so chunk transfers keep
   // overlapping the GPU tail exactly as in the analytic model — only the
-  // share each item drains at becomes time-varying.
-  const bool lane = hooks && hooks->post_gpu && hooks->drain_gpu;
-  struct LaneItemRef {
-    size_t step_idx;
-    double arrival_s;
-    bool text;
-    bool enhancement;
-  };
-  std::vector<LaneItemRef> lane_items;
+  // share each item drains at becomes time-varying. Every step but an
+  // aborted enhancement posts one item, arriving at its transfer's end.
+  const bool lane = hooks != nullptr;
+  result.steps.reserve(plan.chunks.size());
   const double decode_overhead_s = cost_.params().decode_call_overhead_s;
 
   double quality_tokens = 0.0;
@@ -111,8 +106,7 @@ Task<StreamResult> KVStreamer::Stream(const ContextPlan& plan, Link& link,
       // stream; the lifecycle span is emitted then too.
       const double const_s = config.text ? 0.0 : decode_overhead_s;
       const double shared_s = gpu_seconds - const_s;  // gpu_seconds at share 1
-      hooks->post_gpu(rec.end_s, const_s, shared_s);
-      lane_items.push_back({result.steps.size(), rec.end_s, config.text, false});
+      hooks->PostGpu(rec.end_s, const_s, shared_s);
       step.gpu_done_s = rec.end_s;  // provisional until the drain resolves it
     } else {
       // GPU stage: starts when the chunk has arrived and the GPU is free.
@@ -147,7 +141,7 @@ Task<StreamResult> KVStreamer::Stream(const ContextPlan& plan, Link& link,
     if (!config.text) kv_tokens += static_cast<double>(tokens);
 
     result.steps.push_back(step);
-    if (hooks && hooks->on_transfer) hooks->on_transfer(result.steps.back());
+    if (hooks) hooks->OnTransfer(result.steps.back());
   }
 
   result.load_finish_s = result.steps.empty() ? 0.0 : gpu_free_s - t0;
@@ -233,9 +227,8 @@ Task<StreamResult> KVStreamer::Stream(const ContextPlan& plan, Link& link,
         const double gpu_seconds = cost_.DecodeSeconds(
             model_.RawKVBytes(tokens), lane ? 1.0 : gpu_share);
         if (lane) {
-          hooks->post_gpu(step.tx_end_s, decode_overhead_s,
-                          gpu_seconds - decode_overhead_s);
-          lane_items.push_back({result.steps.size(), step.tx_end_s, false, true});
+          hooks->PostGpu(step.tx_end_s, decode_overhead_s,
+                         gpu_seconds - decode_overhead_s);
           step.gpu_done_s = step.tx_end_s;  // provisional
         } else {
           step.gpu_done_s = std::max(step.tx_end_s, gpu_free_s) + gpu_seconds;
@@ -251,34 +244,36 @@ Task<StreamResult> KVStreamer::Stream(const ContextPlan& plan, Link& link,
         CG_METRIC_COUNT("streamer.enhancements_sent", 1);
       }
       result.steps.push_back(step);
-      if (hooks && hooks->on_transfer) hooks->on_transfer(result.steps.back());
+      if (hooks) hooks->OnTransfer(result.steps.back());
     }
   }
 
   // ---- lane resolution: back-fill per-event-priced GPU completions -------
-  if (lane && !lane_items.empty()) {
-    const std::vector<double> done = co_await hooks->drain_gpu();
-    const size_t n = std::min(done.size(), lane_items.size());
+  if (lane && !result.steps.empty()) {
+    const std::span<const double> done = co_await hooks->DrainGpu();
     [[maybe_unused]] const uint64_t track = obs::ScopedRequestId::Current();
     double prev_done = t0;
-    for (size_t i = 0; i < n; ++i) {
-      const LaneItemRef& it = lane_items[i];
-      StreamStep& step = result.steps[it.step_idx];
+    size_t i = 0;  // lane item (index into done)
+    for (StreamStep& step : result.steps) {
+      if (i == done.size()) break;
+      if (step.aborted) continue;  // posted nothing
       step.gpu_done_s = done[i];
       // The true GPU occupancy span: from when the item reached the lane
       // head (chunk arrived and the previous stage finished) to its drained
       // completion — possibly longer than the share-1 duration when peers
       // held the GPU part-way.
       CG_TRACE_VSPAN("streamer",
-                     it.enhancement
+                     step.enhancement
                          ? "enh_gpu_decode"
-                         : (it.text ? "chunk_gpu_prefill" : "chunk_gpu_decode"),
-                     track, std::max(it.arrival_s, prev_done), done[i]);
+                         : (step.config.text ? "chunk_gpu_prefill"
+                                             : "chunk_gpu_decode"),
+                     track, std::max(step.tx_end_s, prev_done), done[i]);
       prev_done = done[i];
       // The base pass makes every chunk usable; the last base item is the
       // load-finish instant. Enhancements only extend the stream tail.
-      if (!it.enhancement) result.load_finish_s = done[i] - t0;
+      if (!step.enhancement) result.load_finish_s = done[i] - t0;
       result.stream_finish_s = std::max(result.stream_finish_s, done[i] - t0);
+      ++i;
     }
     result.ttft_s = result.load_finish_s + cost_.PromptPassSeconds();
     result.slo_violated = result.load_finish_s > adapter_.slo_s();

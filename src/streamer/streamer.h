@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/task.h"
@@ -58,24 +58,28 @@ struct StreamResult {
   size_t enhancements_aborted = 0;
 };
 
-// Optional wiring of one stream into the cluster's event loop. Every field
-// may be empty; a default-constructed (or null) hooks object reproduces the
-// standalone analytic timeline bit for bit.
-struct StreamHooks {
-  // Per-event GPU accounting. When both are set, each chunk's GPU stage
-  // (decode or prefill) is posted as a lane work item — `const_s` drains at
-  // rate 1 (per-call overhead), `shared_s` at the share in effect while it
-  // drains — instead of being priced analytically at the frozen `gpu_share`
-  // argument (which then only seeds the adapter's decision heuristics).
-  // `drain_gpu` suspends the stream until the lane is empty and yields the
-  // completion instant of every posted item in post order; the streamer
-  // back-fills per-step gpu_done_s, load_finish and the GPU lifecycle spans
-  // from it.
-  std::function<void(double arrival_s, double const_s, double shared_s)> post_gpu;
-  std::function<Task<std::vector<double>>()> drain_gpu;
+// Optional wiring of one stream into the cluster's event loop. A null hooks
+// pointer reproduces the standalone analytic timeline bit for bit.
+//
+// Per-event GPU accounting: each chunk's GPU stage (decode or prefill) is
+// posted as a lane work item — `const_s` drains at rate 1 (per-call
+// overhead), `shared_s` at the share in effect while it drains — instead of
+// being priced analytically at the frozen `gpu_share` argument (which then
+// only seeds the adapter's decision heuristics). DrainGpu suspends the
+// stream until the lane is empty and yields the completion instant of every
+// posted item in post order (the view may be read until the stream's next
+// call into the hooks); the streamer back-fills per-step gpu_done_s,
+// load_finish and the GPU lifecycle spans from it.
+class StreamHooks {
+ public:
+  virtual void PostGpu(double arrival_s, double const_s, double shared_s) = 0;
+  virtual Task<std::span<const double>> DrainGpu() = 0;
   // Fired after each transfer completes (base chunks and enhancement
   // segments alike) — the event-loop FSM advances on these.
-  std::function<void(const StreamStep& step)> on_transfer;
+  virtual void OnTransfer(const StreamStep& step) { (void)step; }
+
+ protected:
+  ~StreamHooks() = default;
 };
 
 // Per-chunk configuration policy for one stream.
@@ -114,7 +118,7 @@ class KVStreamer {
                             std::optional<double> throughput_hint_gbps = std::nullopt,
                             StreamMode mode = StreamMode::kAdaptive,
                             size_t kv_chunk_limit = SIZE_MAX,
-                            const StreamHooks* hooks = nullptr) const;
+                            StreamHooks* hooks = nullptr) const;
 
   const Adapter& adapter() const { return adapter_; }
 

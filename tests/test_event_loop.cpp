@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -130,7 +131,8 @@ void RunLink(SharedLink& link,
 }
 
 Task<> Drain(SharedLink& link, SharedLink::FlowId flow, std::vector<double>* done) {
-  *done = co_await link.DrainGpu(flow);
+  const std::span<const double> drained = co_await link.DrainGpu(flow);
+  done->assign(drained.begin(), drained.end());
 }
 
 // The ROADMAP scenario: a peer finishing early must raise every survivor's

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "quant/binned_quant.h"
@@ -59,6 +61,52 @@ TEST(UniformQuant, HandlesConstantInput) {
   const std::vector<float> xs(100, 3.5f);
   const auto back = q.Dequantize(q.Quantize(xs));
   for (float x : back) EXPECT_FLOAT_EQ(x, 3.5f);
+}
+
+// The libm-free rounding in Quantize must equal the std::lround reference
+// on every element: symbol == clamp(lround((x - min) / scale), 0, levels).
+void ExpectMatchesLround(const UniformQuantizer& q, const std::vector<float>& xs) {
+  const UniformQuantized got = q.Quantize(xs);
+  const long levels = (1L << q.bits()) - 1;
+  ASSERT_EQ(got.symbols.size(), xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float f = (xs[i] - got.min) / got.scale;
+    const long want = std::clamp(std::lround(f), 0L, levels);
+    ASSERT_EQ(static_cast<long>(got.symbols[i]), want)
+        << "bits " << q.bits() << " x " << xs[i] << " quotient " << f;
+  }
+}
+
+TEST(UniformQuant, RoundingMatchesLroundProperty) {
+  Rng rng(11);
+  for (int bits : {1, 3, 4, 8, 12, 16}) {
+    const UniformQuantizer q(bits);
+    const float levels = static_cast<float>((1 << bits) - 1);
+    // Random floats over a few magnitudes.
+    for (double span : {1e-3, 1.0, 37.5, 1e4}) {
+      std::vector<float> xs;
+      for (int i = 0; i < 2000; ++i) {
+        xs.push_back(static_cast<float>(rng.Uniform(-span, span)));
+      }
+      ExpectMatchesLround(q, xs);
+    }
+    // min 0 and max levels make scale exactly 1, so the quotient is x itself:
+    // exact k.5 ties, their ulp neighbours, 0 and the levels boundary.
+    std::vector<float> grid = {0.0f, levels};
+    for (int k = 0; k < std::min(1 << bits, 600); ++k) {
+      const float tie = static_cast<float>(k) + 0.5f;
+      if (tie >= levels) break;
+      grid.push_back(tie);
+      grid.push_back(std::nextafter(tie, 0.0f));
+      grid.push_back(std::nextafter(tie, levels));
+    }
+    grid.push_back(std::nextafter(levels, 0.0f));
+    grid.push_back(std::nextafter(0.0f, levels));
+    ExpectMatchesLround(q, grid);
+    EXPECT_EQ(q.Quantize(grid).scale, 1.0f);
+    // mx == mn: every symbol is 0.
+    ExpectMatchesLround(q, std::vector<float>(64, -2.25f));
+  }
 }
 
 TEST(UniformQuant, HandlesEmptyInput) {
