@@ -13,6 +13,11 @@ type system cannot express:
   no-sleep      no std::this_thread::sleep_for/sleep_until in src/ — library
                 code waits on condition variables or virtual time, never the
                 OS scheduler (sleeps make tests slow AND flaky).
+  no-threads    std::thread, std::jthread, std::async and .detach() appear in
+                src/ only in the codec worker pool (src/common/thread_pool.*)
+                and the metrics HTTP server (src/obs/exposition.*). Serving
+                runs on one coordinator thread; any other thread is work
+                whose timing can leak into outcomes.
   pin-guard     raw CacheTier Pin()/Unpin() calls are allowed only in the
                 tier implementations that forward them; everything else must
                 hold pins through PinGuard (RAII), so an early return or
@@ -51,6 +56,15 @@ DETERMINISM_ALLOWLIST = {
     "src/obs/trace.cpp",
 }
 
+# Files allowed to start threads: the codec worker pool and the metrics
+# HTTP server.
+THREADS_ALLOWLIST = {
+    "src/common/thread_pool.h",
+    "src/common/thread_pool.cpp",
+    "src/obs/exposition.h",
+    "src/obs/exposition.cpp",
+}
+
 # Files allowed to call CacheTier::Pin/Unpin directly: the RAII wrapper
 # itself plus the tier implementations that forward pins downward.
 PIN_ALLOWLIST = {
@@ -71,6 +85,10 @@ DETERMINISM_PATTERNS = [
 ]
 
 SLEEP_PATTERN = re.compile(r"\bsleep_(?:for|until)\s*\(")
+
+# std::thread's static members (hardware_concurrency, id) start nothing.
+THREAD_PATTERN = re.compile(
+    r"\bstd::(?:thread\b(?!::)|jthread\b|async\s*\()|\.detach\s*\(\s*\)")
 
 PIN_PATTERN = re.compile(r"(?:->|\.)(?:Pin|Unpin)\s*\(")
 
@@ -204,6 +222,15 @@ def check_sleep(rel, stripped, failures):
                          "(wait on a CondVar or virtual time instead)"))
 
 
+def check_threads(rel, stripped, failures):
+    if rel in THREADS_ALLOWLIST:
+        return
+    for m in THREAD_PATTERN.finditer(stripped):
+        failures.append((rel, line_of(stripped, m.start()), "no-threads",
+                         f"{m.group(0).strip()} outside the thread "
+                         "allowlist (use the ThreadPool or virtual time)"))
+
+
 def check_pin_guard(rel, stripped, failures):
     if rel in PIN_ALLOWLIST:
         return
@@ -300,6 +327,7 @@ def run(root: str) -> list[tuple[str, int, str, str]]:
     for rel, stripped in files:
         check_determinism(rel, stripped, failures)
         check_sleep(rel, stripped, failures)
+        check_threads(rel, stripped, failures)
         check_pin_guard(rel, stripped, failures)
     check_names(root, files, failures)
     failures.sort()

@@ -4,7 +4,7 @@
 Builds throwaway mini-repos under a tempdir and checks, for each rule, one
 fixture that must trigger it and one that must pass: determinism (clocks /
 entropy, with the trace.cpp allowlist and comment immunity), no-sleep,
-pin-guard (raw Pin/Unpin outside the allowlist), and the names catalog
+no-threads (thread starts outside the pool and the metrics server), pin-guard (raw Pin/Unpin outside the allowlist), and the names catalog
 (unknown metric, unknown trace category, non-literal name, metric first
 args holding more than one literal, multi-line call sites, stale catalog
 entries, missing markers). Diagnostics must be one line per violation, never a
@@ -130,6 +130,23 @@ def main():
             {"src/a.cpp":
              "std::this_thread::sleep_for(std::chrono::seconds(1));\n"}),
             "no-sleep", "CondVar")
+        checks += 1
+
+        # 4b. no-threads: starting a thread outside the allowlist fails (each
+        #     spelling flagged once); the same code in the pool passes, and
+        #     std::thread's static members are not thread starts.
+        spawn = ("std::thread t([] {});\n"
+                 "std::jthread j([] {});\n"
+                 "auto f = std::async([] {});\n"
+                 "t.detach();\n")
+        lines = expect_fail(write_repo(tmp, "threads", {"src/a.cpp": spawn}),
+                            "no-threads", "std::thread")
+        assert len(lines) == 4, f"want four thread starts flagged: {lines}"
+        expect_clean(write_repo(
+            tmp, "threads_allow",
+            {"src/common/thread_pool.cpp": spawn,
+             "src/a.cpp": "unsigned n = std::thread::hardware_concurrency();\n"}),
+            "allowlisted thread_pool.cpp and std::thread::hardware_concurrency")
         checks += 1
 
         # 5. pin-guard: raw Pin/Unpin outside the allowlist fails; the same

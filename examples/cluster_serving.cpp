@@ -286,20 +286,15 @@ int RunServeRun(const std::string& dir_arg, bool fabric_mode) {
   ts.tier->Flush();
 
   // Artifacts. The exposition omits wall-clock-dependent series: codec
-  // timings, tracer ring high-water, and the count of background jobs the
-  // cold tier's demotion writer submits (one per idle-to-busy transition of
-  // the writer, so it depends on how fast the disk keeps up; it is a
-  // wall-clock series like the codec timings, and it read 129, 137 and 132
-  // over three replays of this same workload on the multi-threaded serving
-  // core too, so excluding it narrows nothing the gate could pin). Every
-  // remaining value is a pure function of the workload, so the CI
-  // double-replay compares all four artifacts byte-for-byte.
+  // timings and tracer ring high-water. Every remaining value is a pure
+  // function of the workload, so the CI double-replay compares all four
+  // artifacts byte-for-byte.
   bool ok = series->WriteJson(dir / "timeseries.json");
   ok = monitor->WriteJson(dir / "alerts.json") && ok;
   ok = recorder->WriteIncidents(dir) && ok;
   obs::ExpositionOptions eo;
   eo.exclude = {"codec.encode_us", "codec.decode_us",
-                "obs.trace.ring_highwater_events", "pool.submitted"};
+                "obs.trace.ring_highwater_events"};
   ok = obs::WritePrometheusText(dir / "metrics.prom", eo) && ok;
   if (!ok) {
     std::fprintf(stderr, "FAIL: could not write artifacts under %s\n",

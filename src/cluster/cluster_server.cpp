@@ -109,8 +109,7 @@ void ClusterServer::Prestore(
       throw;
     }
   }
-  // Make background tier state (cold-tier writers) deterministic before
-  // serving starts.
+  // Settle any disk work the tier deferred before serving starts.
   tier_->Flush();
 }
 
@@ -137,9 +136,8 @@ std::vector<RequestOutcome> ClusterServer::Serve(std::vector<ClusterRequest> tra
   RunCoordinator(queue, &outcomes);
   FinishTelemetry(last_completion_s_);
 
-  // Drain background tier work (the cold tier's demotion writer holds
-  // evicted bitstreams in RAM until persisted) so RAM is bounded per trace
-  // and on-disk state is settled before the caller inspects it.
+  // Settle any disk work the tier deferred, so on-disk state is final
+  // before the caller inspects it.
   tier_->Flush();
   std::sort(outcomes.begin(), outcomes.end(),
             [](const RequestOutcome& a, const RequestOutcome& b) {

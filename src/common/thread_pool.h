@@ -19,6 +19,9 @@
 // Sizing: the pool targets `hardware_concurrency` concurrent executors
 // (calling thread included), capped by the CACHEGEN_THREADS environment
 // variable if set. Per-call caps come through Run's max_participants.
+//
+// Run is the only entry point: every job is joined by the caller that issued
+// it, so no pool work outlives the call that caused it.
 #pragma once
 
 #include <cstddef>
@@ -45,14 +48,6 @@ class ThreadPool {
   // run; rethrows the first worker exception.
   void Run(size_t n, const std::function<void(size_t)>& fn,
            unsigned max_participants = 0);
-
-  // Fire-and-forget: run fn on a background worker as soon as one frees up
-  // and return immediately. There is no joiner, so exceptions escaping fn
-  // are swallowed — callers that care must catch inside fn. With no
-  // background workers (single-core pool / CACHEGEN_THREADS=1) fn runs
-  // inline on the calling thread instead, so Submit never silently drops
-  // work. Used by the tiered KV store's background demotion writer.
-  void Submit(std::function<void()> fn);
 
   // Total concurrent executors the pool targets (background workers + the
   // calling thread).

@@ -63,7 +63,6 @@ inline constexpr const char* kMetricNames[] = {
     "obs.trace.dropped_events",
     "obs.trace.ring_highwater_events",
     "pool.jobs",
-    "pool.submitted",
     "prefix.deduped_chunks",
     "prefix.full_hits",
     "prefix.misses",
@@ -72,9 +71,7 @@ inline constexpr const char* kMetricNames[] = {
     "prefix.zombie_deferrals",
     "prefix.zombie_reclaims",
     "storage.cold_evictions",
-    "storage.demotion_drops",
     "storage.demotions",
-    "storage.pending_demotion_bytes",
     "storage.promotions",
     "storage.reverse_map.size",
     "streamer.chunk_bytes",

@@ -99,8 +99,9 @@ class CacheTier {
   }
   virtual void AbortStore(const std::string& context_id) { (void)context_id; }
 
-  // Settle background work (demotion writers etc.) so on-disk state is
-  // deterministic for the caller.
+  // Settle any disk work a tier deferred (the cold tier's persists after a
+  // call that threw), so on-disk state is final for the caller. Tiers that
+  // defer nothing keep the no-op.
   virtual void Flush() {}
 
   // The KVStore the Engine serving this tier must be constructed with —

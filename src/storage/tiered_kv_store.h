@@ -18,42 +18,40 @@
 //        │ miss
 //        └───────────────────────────────▶ text + re-prefill    (KVTier::kMiss)
 //
-//   hot LRU eviction ──demote (background writer)──▶ cold tier
-//   cold LRU eviction ──────────────────────────────▶ gone for real
+//   hot LRU eviction ──demote──▶ cold tier
+//   cold LRU eviction ─────────▶ gone for real
 //
 // Concurrency & determinism:
 //   * The manifest entry for a demotion is registered synchronously (under
 //     the evicting shard's lock via the sink, then the cold mutex), so a
-//     lookup racing the eviction still sees the context as cold — outcomes
-//     do not depend on disk speed.
-//   * Only the byte persistence is asynchronous: a FIFO queue drained by a
-//     single ThreadPool::Submit job writes the chunks to disk, so the
-//     eviction path never blocks a shard lock on disk I/O. Until an entry is
-//     persisted its bytes live in the manifest (reads and promotions are
-//     served from that buffer); Flush() drains the queue for deterministic
-//     tests and for persistence-across-restart. When the pool has no
-//     background workers (CACHEGEN_THREADS=1) jobs simply wait for the next
-//     Flush() rather than writing inline under the evicting shard's lock.
+//     lookup racing the eviction still sees the context as cold.
+//   * The sink never touches the disk: it queues the persist (and any cold
+//     erase) with the bytes buffered in the manifest entry. Every public
+//     method that can evict, promote or erase performs the queued disk work
+//     in FIFO order before it returns, on the calling thread, outside every
+//     shard lock. Disk work is thus part of the call that caused it, and
+//     which contexts reach disk depends only on the call sequence, never on
+//     disk or scheduler speed. Flush() performs anything a throwing call
+//     left queued.
 //   * Context content is immutable per id in this system, so the rare
 //     hot/cold duplication windows (e.g. a write-back racing a demotion of
 //     the same context) waste budget but never serve stale data.
 //
 // Restart: the constructor adopts contexts already present under cold_root
-// that carry the per-context completion sentinel the writer commits after
-// the last chunk (directories without it are mid-persist debris from a
-// crash and are reclaimed). A small on-disk manifest (rewritten by the
-// background writer once per queue drain) maps each directory back to
-// its original context id and LRU stamp, so '%'-mangled ids and recency
-// survive process churn; sentinel-complete directories that are neither in
-// the manifest nor round-trippable through SanitizeContextId are
-// unreachable forever and are reclaimed.
+// that carry the per-context completion sentinel written after the last
+// chunk (directories without it are mid-persist debris from a crash and are
+// reclaimed). A small on-disk manifest (rewritten once per call that changed
+// persisted state) maps each directory back to its original context id and
+// LRU stamp, so '%'-mangled ids and recency survive process churn; a row is
+// trusted only for the directory its id sanitizes to. Sentinel-complete
+// directories that are neither in the manifest nor round-trippable through
+// SanitizeContextId are unreachable forever and are reclaimed.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -80,14 +78,6 @@ class TieredKVStore final : public KVStore, public CacheTier {
     // Cold-tier byte budget; 0 = unbounded. Like the hot tier, the cold
     // tier never evicts its last context.
     uint64_t cold_capacity_bytes = 0;
-    // Demotion-queue backpressure: deterministic cap on the bytes of evicted
-    // bitstreams buffered in RAM awaiting the background writer (0 =
-    // unbounded). When a demotion would exceed it, pending-but-uncommitted
-    // entries are dropped OLDEST FIRST (counted in Stats::demotion_drops) —
-    // those contexts fall out of the cold tier entirely, exactly what a bare
-    // sharded eviction would have done, so an eviction burst faster than the
-    // disk degrades gracefully instead of growing RAM without bound.
-    uint64_t max_pending_demotion_bytes = 0;
   };
 
   struct Stats {
@@ -102,13 +92,10 @@ class TieredKVStore final : public KVStore, public CacheTier {
     uint64_t promoted_bytes = 0;
     uint64_t cold_evictions = 0;
     uint64_t cold_evicted_bytes = 0;
-    // Backpressure: demotions dropped (with their bytes) because the pending
-    // buffer cap was hit, and the bytes currently awaiting the writer.
-    uint64_t demotion_drops = 0;
-    uint64_t demotion_dropped_bytes = 0;
-    uint64_t pending_demotion_bytes = 0;  // current
     uint64_t hot_bytes = 0;   // current
-    uint64_t cold_bytes = 0;  // current (manifest accounting, incl. pending)
+    // Current manifest accounting, including entries whose disk write
+    // failed and which stay memory-resident.
+    uint64_t cold_bytes = 0;
     ShardedKVStore::Stats hot_tier;  // raw hot-tier counters
   };
 
@@ -149,9 +136,8 @@ class TieredKVStore final : public KVStore, public CacheTier {
   void Unpin(const std::string& context_id) override;
   void Touch(const std::string& context_id, double t_s) override;
 
-  // Drain the background writer: on return every queued demotion has been
-  // persisted (or discarded) and every queued cold erase applied. Makes
-  // on-disk state deterministic for tests and restart hand-off.
+  // Perform disk work a throwing call left queued. Every other call already
+  // leaves the disk settled when it returns, so this is usually a no-op.
   void Flush() override;
 
   KVStore& kv() override { return *this; }
@@ -165,82 +151,57 @@ class TieredKVStore final : public KVStore, public CacheTier {
   const std::filesystem::path& cold_root() const { return opts_.cold_root; }
 
  private:
-  // All ColdEntry fields are protected by the owning store's cold_mu_, with
-  // one deliberate exception the analysis cannot express on a nested struct
-  // (guarded_by cannot name an outer object's member): `buffer` is READ
-  // without the lock by the background writer while `writing` is true —
-  // every mutating path checks `writing` under cold_mu_ first (copy instead
-  // of steal), so the unlocked read races with nothing.
+  // Every ColdEntry field is protected by the owning store's cold_mu_
+  // (guarded_by cannot name an outer object's member).
   struct ColdEntry {
     // (chunk_index, level_id) -> serialized size; fixed at demotion time.
     std::map<std::pair<uint32_t, int32_t>, uint32_t> chunk_bytes;
-    // Bitstreams until persisted; reads/promotions are served from here
-    // while the background writer works.
+    // Bitstreams until persisted; reads and promotions are served from here
+    // until the queued persist runs, and for good if the disk refused it.
     std::vector<std::pair<ChunkKey, std::vector<uint8_t>>> buffer;
     uint64_t bytes = 0;
     double last_touch_s = 0.0;
     bool persisted = false;  // bytes live on disk; buffer released
-    bool writing = false;    // writer is reading buffer outside the lock
-    bool dead = false;       // evicted/promoted/replaced; writer must discard
-    // Counted against the pending-demotion byte cap; cleared exactly once
-    // when the entry stops being RAM-buffered (persisted, claimed, dropped).
-    bool pending_counted = false;
   };
-  using ColdEntryPtr = std::shared_ptr<ColdEntry>;
+  // Queued disk work for one id: persist its buffered entry, or erase its
+  // files.
+  struct DiskOp {
+    std::string context_id;
+    bool erase = false;
+  };
 
   void AdoptPersistedColdContexts();
   void OnHotEviction(ShardedKVStore::EvictedContext&& victim);
-  // Caller holds cold_mu_. Appends ids whose on-disk bytes must be removed.
-  void EnforceColdCapacityLocked(const std::string* keep,
-                                 std::vector<std::string>* erase_ids)
+  // Caller holds cold_mu_. Evicted ids get their on-disk bytes erased.
+  void EnforceColdCapacityLocked(const std::string* keep) CG_REQUIRES(cold_mu_);
+  void QueueErase(std::string context_id) CG_REQUIRES(cold_mu_);
+  // Perform the queued disk work in FIFO order, then rewrite the on-disk
+  // manifest if persisted state changed. Call with no shard lock held: the
+  // eviction sink takes cold_mu_ under one.
+  void RunDiskOps();
+  // Writes the chunks, then the completion sentinel. False when the disk
+  // refused: the entry then stays memory-resident.
+  bool PersistLocked(const std::string& context_id, ColdEntry& entry)
       CG_REQUIRES(cold_mu_);
-  // Caller holds cold_mu_. Uncounts the entry from the pending-demotion cap
-  // (idempotent).
-  void ReleasePendingLocked(ColdEntry& entry) CG_REQUIRES(cold_mu_);
-  // Caller holds cold_mu_. Drops oldest-uncommitted pending entries until
-  // the pending buffer fits the cap; dropped ids are appended to erase_ids
-  // (stale files of older incarnations still need reclaiming).
-  void EnforcePendingCapLocked(std::vector<std::string>* erase_ids)
-      CG_REQUIRES(cold_mu_);
-  void EnqueuePersist(const std::string& context_id, ColdEntryPtr entry);
-  void EnqueueErase(std::string context_id);
-  void EnqueueJob(std::function<void()> job);
-  void DrainJobs();
-  // Snapshot the persisted-entry manifest under cold_mu_ and rewrite the
-  // on-disk manifest file (temp + rename). Called from background jobs.
-  void SyncManifestToDisk();
+  // Rewrite the on-disk manifest (temp + rename) from the persisted entries.
+  void SyncManifestLocked() CG_REQUIRES(cold_mu_);
 
   Options opts_;
   std::unique_ptr<ShardedKVStore> hot_;
   std::unique_ptr<FileKVStore> cold_backend_;
 
+  // Disk I/O runs under cold_mu_ too: it keeps queued persists and erases of
+  // one id in order across callers, and the one serving thread never waits
+  // on it.
   mutable Mutex cold_mu_;
-  std::unordered_map<std::string, ColdEntryPtr> cold_ CG_GUARDED_BY(cold_mu_);
+  std::unordered_map<std::string, ColdEntry> cold_ CG_GUARDED_BY(cold_mu_);
   uint64_t cold_bytes_ CG_GUARDED_BY(cold_mu_) = 0;
-  // Demotion backpressure state (cold_mu_): RAM-buffered bytes awaiting the
-  // writer, and the FIFO the drop-oldest policy walks. Entries go stale in
-  // place (persisted/claimed/dropped); the walk skips them lazily.
-  uint64_t pending_demotion_bytes_ CG_GUARDED_BY(cold_mu_) = 0;
-  std::deque<std::pair<std::string, ColdEntryPtr>> pending_fifo_
-      CG_GUARDED_BY(cold_mu_);
+  std::deque<DiskOp> disk_ops_ CG_GUARDED_BY(cold_mu_);
   // Contexts mid-promotion: a racing lookup for the same id waits for the
   // winner instead of reporting a spurious miss (the entry leaves the
   // manifest before the bytes reach the hot tier).
   std::unordered_set<std::string> promoting_ CG_GUARDED_BY(cold_mu_);
   mutable CondVar promote_cv_;  // const readers wait too
-
-  // FIFO job queue + single-drainer discipline: at most one ThreadPool job
-  // runs at a time, so demote/erase jobs for the same context execute in
-  // submission order (an old incarnation's files are erased before a new
-  // incarnation's are written). Never enqueue while holding cold_mu_.
-  mutable Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<std::function<void()>> jobs_ CG_GUARDED_BY(queue_mu_);
-  bool drainer_active_ CG_GUARDED_BY(queue_mu_) = false;
-  // Set by persist/erase jobs; the drainer rewrites the on-disk manifest
-  // once per queue drain (a crash between drains loses at most manifest
-  // freshness — adoption falls back to the sentinel + round-trip rules).
-  std::atomic<bool> manifest_dirty_{false};
 
   std::atomic<uint64_t> hot_hits_{0};
   std::atomic<uint64_t> cold_hits_{0};
@@ -251,8 +212,6 @@ class TieredKVStore final : public KVStore, public CacheTier {
   std::atomic<uint64_t> promoted_bytes_{0};
   std::atomic<uint64_t> cold_evictions_{0};
   std::atomic<uint64_t> cold_evicted_bytes_{0};
-  std::atomic<uint64_t> demotion_drops_{0};
-  std::atomic<uint64_t> demotion_dropped_bytes_{0};
 };
 
 }  // namespace cachegen

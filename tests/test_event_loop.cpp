@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -29,6 +31,7 @@
 #include "net/bandwidth_trace.h"
 #include "serving/engine.h"
 #include "storage/sharded_kv_store.h"
+#include "storage/tiered_kv_store.h"
 
 namespace cachegen {
 namespace {
@@ -352,9 +355,37 @@ TEST(EventLoop, DeterministicAcrossRuns) {
   }
 }
 
+// Every file under `dir` as "relative-path:size", sorted by path.
+std::string ListDir(const std::filesystem::path& dir) {
+  std::vector<std::string> rows;
+  for (const auto& f : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!f.is_regular_file()) continue;
+    rows.push_back(std::filesystem::relative(f.path(), dir).string() + ":" +
+                   std::to_string(f.file_size()));
+  }
+  std::sort(rows.begin(), rows.end());
+  std::string out;
+  for (const std::string& r : rows) out += r + " ";
+  return out;
+}
+
+std::string HexFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream hex;
+  char c;
+  while (in.get(c)) {
+    char b[3];
+    std::snprintf(b, sizeof b, "%02x", static_cast<unsigned char>(c));
+    hex << b;
+  }
+  return hex.str();
+}
+
 // Probe for the CACHEGEN_THREADS determinism check below: serve a fixed
 // trace WITH write-backs (the codec pool is what CACHEGEN_THREADS sizes) and
-// print a summary line the parent compares across pool sizes.
+// print summary lines the parent compares across pool sizes — once over a
+// sharded store, once over a tiered store whose hot tier is small enough
+// that Serve() demotes and promotes, with the cold directory it leaves.
 TEST(EventLoopProbe, PrintSummary) {
   EventLoopFixture fx;  // fresh fixture: cold cache, write-backs happen
   RequestTraceOptions topts = fx.trace_opts;
@@ -377,8 +408,35 @@ TEST(EventLoopProbe, PrintSummary) {
   std::printf("CG_SUMMARY %.17g %.17g %.17g %llu %zu\n", sum_ttft, sum_finish,
               s.p95_ttft_s, static_cast<unsigned long long>(worker_mix),
               outcomes.size());
+
+  const std::filesystem::path cold =
+      std::filesystem::temp_directory_path() /
+      ("cachegen_event_loop_cold_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(cold);
+  {
+    TieredKVStore::Options o;
+    o.hot = ShardedKVStore::Options{.num_shards = 2,
+                                    .capacity_bytes = 3ull << 20};
+    o.cold_root = cold;
+    auto tiered = std::make_shared<TieredKVStore>(o);
+    Engine engine(fx.engine->options(), tiered);
+    topts.num_requests = 24;
+    ClusterServer tiered_server(engine, tiered, BandwidthTrace::Constant(2.0),
+                                copts);
+    const auto tiered_outcomes = tiered_server.Serve(PoissonTrace(topts));
+    const TieredKVStore::Stats ts = tiered->stats();
+    EXPECT_GT(ts.demotions, 0u);
+    EXPECT_GT(ts.promotions, 0u);
+    std::printf("CG_TIERED %llu %llu %llu %.17g\n",
+                static_cast<unsigned long long>(ts.demotions),
+                static_cast<unsigned long long>(ts.promotions),
+                static_cast<unsigned long long>(ts.cold_bytes),
+                Summarize(tiered_outcomes).mean_ttft_s);
+    std::printf("CG_COLD_FILES %s\n", ListDir(cold).c_str());
+    std::printf("CG_COLD_MANIFEST %s\n", HexFile(cold / "MANIFEST").c_str());
+  }
+  std::filesystem::remove_all(cold);
   std::fflush(stdout);
-  SUCCEED();
 }
 
 std::string RunProbeWithThreads(const char* threads) {
@@ -397,9 +455,13 @@ std::string RunProbeWithThreads(const char* threads) {
   char buf[512];
   while (fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
   pclose(pipe);
-  const size_t pos = out.find("CG_SUMMARY ");
-  if (pos == std::string::npos) return {};
-  return out.substr(pos, out.find('\n', pos) - pos);
+  // The probe's CG_* lines, in order.
+  std::istringstream lines(out);
+  std::string summary;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("CG_", 0) == 0) summary += line + "\n";
+  }
+  return summary;
 }
 
 // Outcomes must not depend on how many codec threads the host grants: the

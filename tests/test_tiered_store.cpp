@@ -65,18 +65,45 @@ TEST_F(TieredStoreTest, EvictionDemotesInsteadOfErasing) {
   EXPECT_EQ(stats.cold_bytes, 100u);
   EXPECT_EQ(stats.hot_tier.evictions, 1u);
 
-  // Readable before the background writer runs (pending buffer)...
-  ASSERT_TRUE(store.Get({"b", 0, 0}).has_value());
-  EXPECT_EQ(*store.Get({"b", 0, 0}), payload_b);
-  // ...and from disk after it.
-  store.Flush();
+  // The evicting Put persisted "b" before returning: chunk and completion
+  // sentinel are on disk with no Flush(), and reads come from there.
   EXPECT_TRUE(fs::exists(root_ / "b" / "chunk0_level0.cgkv"));
+  EXPECT_TRUE(fs::exists(root_ / "b" / "COMPLETE"));
   ASSERT_TRUE(store.Get({"b", 0, 0}).has_value());
   EXPECT_EQ(*store.Get({"b", 0, 0}), payload_b);
 
   // Byte accounting spans both tiers.
   EXPECT_EQ(store.TotalBytes(), 300u);
   EXPECT_EQ(store.ContextBytes("b"), 100u);
+}
+
+// A disk that refuses the demotion's write (a regular file squats on the
+// context's cold directory, so FileKVStore::Put throws) loses nothing: the
+// context stays cold from its RAM buffer, and promotion moves that buffer
+// back into the hot tier.
+TEST_F(TieredStoreTest, RefusedDemotionWriteStaysMemoryResident) {
+  TieredKVStore store(Opts(/*hot_capacity=*/250));
+  const auto payload_b = Blob(100, 2);
+  store.Put({"a", 0, 0}, Blob(100, 1));
+  store.Put({"b", 0, 0}, payload_b);
+  {
+    std::ofstream squatter(root_ / "b", std::ios::binary);
+    squatter << "not a directory";
+  }
+  ASSERT_EQ(store.LookupAndPin("a", 1.0), KVTier::kHot);
+  store.Unpin("a");
+  store.Put({"c", 0, 0}, Blob(100, 3));  // evicts "b"; its write is refused
+
+  EXPECT_FALSE(store.hot().ContainsContext("b"));
+  EXPECT_TRUE(store.ContainsContext("b"));
+  EXPECT_EQ(store.stats().cold_bytes, 100u);
+  EXPECT_TRUE(fs::is_regular_file(root_ / "b"));
+
+  ASSERT_EQ(store.LookupAndPin("b", 2.0), KVTier::kCold);
+  ASSERT_TRUE(store.Get({"b", 0, 0}).has_value());
+  EXPECT_EQ(*store.Get({"b", 0, 0}), payload_b);
+  store.Unpin("b");
+  EXPECT_EQ(store.stats().promotions, 1u);
 }
 
 TEST_F(TieredStoreTest, LookupPromotesColdContextPinned) {
@@ -109,9 +136,7 @@ TEST_F(TieredStoreTest, LookupPromotesColdContextPinned) {
   EXPECT_TRUE(store.hot().ContainsContext("b"));
   store.Unpin("b");
 
-  // Exclusive tiering: after the promotion (and queue drain), b's cold
-  // files are gone.
-  store.Flush();
+  // Exclusive tiering: the promotion erased b's cold files.
   EXPECT_FALSE(fs::exists(root_ / "b"));
   EXPECT_TRUE(fs::exists(root_ / "c"));
 }
@@ -145,7 +170,7 @@ TEST_F(TieredStoreTest, ColdTierSurvivesRestart) {
     ASSERT_FALSE(store.hot().ContainsContext("keep-me"));
     ASSERT_TRUE(store.ContainsContext("keep-me"));
   }
-  // Simulate a writer that died mid-persist: chunk files but no completion
+  // Simulate a process that died mid-persist: chunk files but no completion
   // sentinel. The partial context must be reclaimed, never adopted.
   fs::create_directories(root_ / "half-written");
   {
@@ -354,6 +379,50 @@ TEST_F(TieredStoreTest, UnmanifestedMangledDirectoriesAreReclaimed) {
   TieredKVStore store(Opts(/*hot_capacity=*/1000));
   EXPECT_EQ(store.stats().cold_bytes, 0u);
   EXPECT_FALSE(fs::exists(root_ / orphan_dir));
+}
+
+// A sentinel-complete cold directory holding one chunk of `bytes` bytes.
+void WriteColdDir(const fs::path& dir, size_t bytes) {
+  fs::create_directories(dir);
+  std::ofstream(dir / "chunk0_level0.cgkv", std::ios::binary)
+      << std::string(bytes, 'x');
+  std::ofstream(dir / "COMPLETE", std::ios::binary) << '1';
+}
+
+// Restart adoption never trusts a MANIFEST row beyond the directory its id
+// names, and shrugs off malformed rows: whatever the file says, the cold
+// bytes counted are exactly the bytes of the contexts adopted, and erasing
+// those contexts returns the count — and the disk — to empty.
+TEST_F(TieredStoreTest, AdoptionValidatesManifestRows) {
+  const std::string header = "cachegen-cold-manifest-v1\n";
+  const std::vector<std::pair<std::string, std::string>> manifests = {
+      // Maps directory "a" to id "b" (hex 62), which directory "b" owns.
+      {"row naming another directory's id", header + "a 62 0000000000000000\n"},
+      {"header only", header},
+      {"row cut off mid-field",
+       header + "b 62 3ff0000000000000\na 6"},
+      {"non-hex id", header + "a zz 0000000000000000\n"},
+  };
+  for (size_t i = 0; i < manifests.size(); ++i) {
+    SCOPED_TRACE(manifests[i].first);
+    TieredKVStore::Options opts = Opts(/*hot_capacity=*/1000);
+    opts.cold_root = root_ / std::to_string(i);
+    WriteColdDir(opts.cold_root / "a", 100);
+    WriteColdDir(opts.cold_root / "b", 60);
+    std::ofstream(opts.cold_root / "MANIFEST", std::ios::binary)
+        << manifests[i].second;
+
+    TieredKVStore store(opts);
+    EXPECT_TRUE(store.ContainsContext("a"));
+    EXPECT_TRUE(store.ContainsContext("b"));
+    EXPECT_EQ(store.stats().cold_bytes, 160u);
+    store.EraseContext("b");
+    store.EraseContext("a");
+    store.Flush();
+    EXPECT_EQ(store.stats().cold_bytes, 0u);
+    EXPECT_FALSE(fs::exists(opts.cold_root / "a"));
+    EXPECT_FALSE(fs::exists(opts.cold_root / "b"));
+  }
 }
 
 TEST_F(TieredStoreTest, ManifestPreservesColdLruOrderAcrossRestart) {
